@@ -220,7 +220,8 @@ def _tally_minima(values: np.ndarray, n: int, k: int) -> np.ndarray:
     """Per-L tally of the exact k-error complexity of each packed value.
 
     Values may mix weight parities; each parity group is scored against
-    the pattern weights that can actually help it (see lcforge.kerror).
+    the pattern weights that can actually help it: a pattern of the other
+    parity leaves an odd-weight period, whose complexity 2^n is never lower.
     """
     period = 1 << n
     if n <= core.TABLE_MAX_EXPONENT:
@@ -304,6 +305,8 @@ def census_distribution(query: CensusQuery, jobs: int = 1) -> CensusReport:
     if jobs < 1:
         raise InvalidParams(f"jobs must be at least 1, got {jobs}")
     start = perf_counter()
+    if query.n <= core.TABLE_MAX_EXPONENT:
+        core.lc_table(query.n)  # built once here; forked workers inherit it
     args = (query.n, query.k, query.seq_class.value)
     if isinstance(query.mode, Exhaustive):
         counts = _run_shards(_exhaustive_shard, args, 1 << (1 << query.n), jobs)

@@ -5,8 +5,7 @@ forms), census, verify, refute (distribution work).  Every subcommand
 renders as an aligned table, JSON, or CSV via --format.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
-finds a formula/census mismatch, 2 on invalid input or an over-budget
-search.
+finds a formula/census mismatch, 2 on invalid input.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import census as census_mod
@@ -235,23 +235,42 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+@contextmanager
+def _whole_decimals():
+    """Lift Python's int-to-decimal digit limit (4300 by default) for a while.
+
+    Counts at n >= 14 have more digits than that; they are exact and are
+    printed whole.  Pythons without the limit have nothing to lift.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_count(args) -> int:
     seq_class = SequenceClass(args.seq_class)
     counts = census_mod.formula_counts(args.n, args.k, seq_class)
     if not 0 <= args.L < len(counts):
         raise InvalidParams(f"--L must be in [0, {len(counts) - 1}], got {args.L}")
     count = counts[args.L]
-    if args.format == "table":
-        print(count)
-    else:
-        pairs = [
-            ("n", args.n),
-            ("L", args.L),
-            ("k", args.k),
-            ("class", seq_class.value),
-            ("count", count),
-        ]
-        _emit_pairs(pairs, args.format)
+    with _whole_decimals():
+        if args.format == "table":
+            print(count)
+        else:
+            pairs = [
+                ("n", args.n),
+                ("L", args.L),
+                ("k", args.k),
+                ("class", seq_class.value),
+                ("count", count),
+            ]
+            _emit_pairs(pairs, args.format)
     return 0
 
 

@@ -15,6 +15,7 @@ code, so each one can vouch for the other in tests.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -36,7 +37,8 @@ MAX_EXPONENT = 20
 # Full per-value lookup tables stop at 2^16 entries.
 TABLE_MAX_EXPONENT = 4
 
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_NOT_BINARY = re.compile("[^01]")
+_NOT_HEX = re.compile("[^0-9a-fA-F]")
 
 
 @dataclass(frozen=True)
@@ -146,13 +148,11 @@ def parse_binary(text: str, exponent: int) -> PeriodicSequence:
     period = 1 << exponent
     if len(text) != period:
         raise InvalidPeriod(f"expected {period} binary characters, got {len(text)}")
-    value = 0
-    for i, char in enumerate(text):
-        if char == "1":
-            value |= 1 << i
-        elif char != "0":
-            raise InvalidDigit(f"character {char!r} at index {i} is not 0/1")
-    return PeriodicSequence(exponent, value)
+    bad = _NOT_BINARY.search(text)
+    if bad:
+        raise InvalidDigit(f"character {bad[0]!r} at index {bad.start()} is not 0/1")
+    # int() would also take "_", "+" and whitespace, hence the check first
+    return PeriodicSequence(exponent, int(text[::-1], 2))
 
 
 def parse_hex(text: str, exponent: int) -> PeriodicSequence:
@@ -162,9 +162,11 @@ def parse_hex(text: str, exponent: int) -> PeriodicSequence:
     period = 1 << exponent
     if len(text) != period // 4:
         raise InvalidPeriod(f"expected {period // 4} hex characters, got {len(text)}")
-    for i, char in enumerate(text):
-        if char not in _HEX_DIGITS:
-            raise InvalidDigit(f"character {char!r} at index {i} is not a hex digit")
+    bad = _NOT_HEX.search(text)
+    if bad:
+        raise InvalidDigit(
+            f"character {bad[0]!r} at index {bad.start()} is not a hex digit"
+        )
     # MSB of the hex number is position 0, so reverse the bit order.
     msb_first = format(int(text, 16), f"0{period}b")
     return PeriodicSequence(exponent, int(msb_first[::-1], 2))

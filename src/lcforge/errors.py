@@ -34,18 +34,6 @@ class LemmaPreconditionViolated(LcforgeError):
     """Closed-form complexity shortcut called outside its precondition."""
 
 
-class SearchTooLarge(LcforgeError):
-    """Pattern enumeration would exceed the search budget."""
-
-    def __init__(self, estimated_count: int, budget: int):
-        self.estimated_count = estimated_count
-        self.budget = budget
-        super().__init__(
-            f"search would enumerate {estimated_count} patterns"
-            f" (budget {budget})"
-        )
-
-
 class NotFoundWithinCap(LcforgeError):
     """No error pattern within the tried range lowered the complexity."""
 

@@ -1,24 +1,38 @@
-"""Exact k-error linear complexity by exhaustive pattern search.
+"""Exact k-error linear complexity by the Stamp-Martin algorithm.
 
-The k-error linear complexity of s is the smallest complexity reachable
+The k-error linear complexity L_k(s) is the smallest complexity reachable
 by flipping at most k positions within one period; flips repeat in every
-period.  The search is exact: it enumerates candidate flip patterns in
-(weight, lexicographic-positions) order and keeps the first pattern that
-achieves the minimum, so the reported witness is canonical.
+period.
 
-One pruning rule keeps the enumeration honest but much smaller: a period
-of odd weight has full complexity 2^n, so flip patterns that change the
-weight parity of s can never beat patterns that keep it even (or the
-unflipped s itself when s already sits at 2^n).  Only pattern weights
-matching the weight parity of s are enumerated.
+Everything here rests on one kernel, the cost-vector halving of Stamp
+and Martin (IEEE Trans. IT 39(4), 1993), vectorised per level in numpy:
+given one period, a price for flipping each position and a budget, it
+returns the least complexity reachable at a total price within the
+budget, and the least total price that reaches it, in O(N).  With unit
+prices and budget k that is L_k, all that k_error_profile and
+k_min_search need.
+
+k_error_lc also reports a canonical witness: among the lightest patterns
+reaching L_k, the first in lexicographic position order (zero flips
+count, so an already minimal s gets the empty pattern).  Prices find it.
+A flip costs one large price less a rebate, larger for earlier groups of
+positions, and no rebates add up to a price, so the cheapest pattern is
+a lightest one, and among those the one with the largest rebates.  The
+rebates are powers of a base above every flip count, so the unspent
+budget spells out how many flips the cheapest pattern makes in each
+group; its leading digit names the first group that any lightest
+pattern reaches.  The search narrows to that group and prices again.
+Once groups are single positions, the digits are the positions of the
+first pattern.  Groups are as many as int64 prices allow (17 at n = 20
+and k = 4), so a witness takes O(k log N) kernel calls at most, and
+O(k N log N) time.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
+
+import numpy as np
 
 from . import core
 from .core import PeriodicSequence
@@ -26,15 +40,8 @@ from .errors import (
     InvalidParams,
     InvalidSupport,
     NotFoundWithinCap,
-    SearchTooLarge,
     UndefinedForZeroSequence,
 )
-
-# Hard ceiling on how many flip patterns one call may enumerate.
-SEARCH_BUDGET = 10**8
-
-# Pattern mask lists are memoised only below this size.
-_CACHE_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -63,12 +70,7 @@ class ErrorPattern:
 
     def as_sequence(self, exponent: int) -> PeriodicSequence:
         """The pattern as the sequence that is 1 exactly at the flip positions."""
-        period = 1 << exponent
-        if self.positions and self.positions[-1] >= period:
-            raise InvalidSupport(
-                f"position {self.positions[-1]} outside period {period}"
-            )
-        return PeriodicSequence(exponent, self.as_mask())
+        return PeriodicSequence.from_support(exponent, self.positions)
 
 
 @dataclass(frozen=True)
@@ -80,46 +82,108 @@ class KErrorResult:
     witness: ErrorPattern
 
 
-@lru_cache(maxsize=None)
-def _cached_masks(period: int, weight: int) -> tuple[int, ...]:
-    return tuple(_generate_masks(period, weight))
+def _price_type(budget: int, period: int):
+    """int64 while no sum of saturated prices can overflow it, else Python ints."""
+    return np.int64 if (budget + 1) * period < 1 << 62 else object
 
 
-def _generate_masks(period, weight):
-    for combo in itertools.combinations(range(period), weight):
-        mask = 0
-        for p in combo:
-            mask |= 1 << p
-        yield mask
+def _bits(s: PeriodicSequence) -> np.ndarray:
+    """One period as a bool array, position 0 first."""
+    packed = s.value.to_bytes((s.period + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+    return bits[: s.period].view(bool)
 
 
-def _iter_masks(period, weight):
-    """Flip masks of the given weight in lexicographic position order."""
-    if comb(period, weight) <= _CACHE_LIMIT:
-        return _cached_masks(period, weight)
-    return _generate_masks(period, weight)
+def _stamp_martin(bits: np.ndarray, cost: np.ndarray, budget: int) -> tuple[int, int]:
+    """Least complexity reachable by flips of total cost <= budget, and the
+    least total cost that reaches it.
+
+    At each halving the two halves are made equal when the cheapest way
+    to do so fits the budget left; otherwise the level adds its half
+    length and the halves are folded by XOR.  Either way each folded
+    position carries the price of flipping it in the folded sequence.
+    Prices saturate at budget + 1, "unaffordable", which keeps every
+    comparison with the shrinking budget exact without big sentinels;
+    they are int64 unless a level's sum could overflow it.
+    """
+    cap = budget + 1
+    cost = np.minimum(cost.astype(_price_type(budget, len(bits)), copy=False), cap)
+    left, lc = budget, 0
+    half = len(bits) >> 1
+    while half:
+        a, b = bits[:half], bits[half:]
+        ca, cb = cost[:half], cost[half:]
+        differ = a != b
+        cheaper = np.minimum(ca, cb)
+        repair = cheaper * differ
+        spend = int(repair.sum())
+        if spend <= left:
+            left -= spend
+            # flip the cheaper side; the other side's price becomes the
+            # difference, and two equal positions cost both to change
+            bits = np.where(ca <= cb, b, a)
+            cost = np.minimum(ca + cb - 2 * repair, cap)
+        else:
+            lc += half
+            bits, cost = differ, cheaper
+        half >>= 1
+    if bits[0]:
+        if cost[0] <= left:
+            left -= int(cost[0])
+        else:
+            lc += 1
+    return lc, budget - left
 
 
-def _mask_positions(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+def _lightest_first(bits: np.ndarray, k: int) -> tuple[int, tuple[int, ...]]:
+    """L_k of one period, and the first of its lightest patterns reaching L_k.
 
-
-def _search_weights(s: PeriodicSequence, k: int) -> list[int]:
-    """Pattern weights worth enumerating, with the budget check applied."""
-    period = 1 << s.exponent
-    if not 0 <= k <= period:
-        raise InvalidParams(f"k must be in [0, {period}], got {k}")
-    parity = s.value.bit_count() & 1
-    weights = [w for w in range(1, k + 1) if (w & 1) == parity]
-    estimated = sum(comb(period, w) for w in weights)
-    if estimated > SEARCH_BUDGET:
-        raise SearchTooLarge(estimated, SEARCH_BUDGET)
-    return weights
+    The window [start, start + span) holds the next position still to
+    find; positions before it are flipped already or passed over.  `rem`
+    bounds the flips still to make: k and the weight at first, the exact
+    count once the first call has priced them.
+    """
+    period = len(bits)
+    bits = bits.copy()
+    positions: list[int] = []
+    start, span = 0, period
+    rem = min(k, int(np.count_nonzero(bits)))  # at most k, and the support
+    while True:
+        base = rem + 1
+        groups = 2  # as many as int64 prices allow; 62 bounds it when rem is 0
+        while groups < min(span, 62) and _price_type(
+            rem * (base ** (groups + 1) + 1), period
+        ) is np.int64:
+            groups += 1
+        size = -(-span // groups)
+        groups = -(-span // size)
+        price = base**groups + 1
+        budget = rem * price
+        dtype = _price_type(budget, period)
+        rebates = np.array([base**g for g in range(groups - 1, -1, -1)], dtype=dtype)
+        cost = np.full(period, price, dtype=dtype)
+        cost[:start] = budget + 1  # flipped already, or passed over
+        cost[start : start + span] -= np.repeat(rebates, size)[:span]
+        value, spent = _stamp_martin(bits, cost, budget)
+        rem = -(-spent // price)
+        earned = rem * price - spent
+        counts = []
+        for _ in range(groups):
+            earned, count = divmod(earned, base)
+            counts.append(count)
+        counts.reverse()
+        if size > 1 and rem:
+            start += size * next(g for g, count in enumerate(counts) if count)
+            span = min(size, period - start)
+            continue
+        hits = [start + g for g, count in enumerate(counts) if count]
+        positions += hits
+        if len(hits) == rem:
+            return value, tuple(positions)
+        rem -= len(hits)
+        bits[hits] = ~bits[hits]
+        start += span
+        span = period - start
 
 
 def k_error_lc(s: PeriodicSequence, k: int) -> KErrorResult:
@@ -129,50 +193,26 @@ def k_error_lc(s: PeriodicSequence, k: int) -> KErrorResult:
     together with the first achieving pattern in (weight, lexicographic
     positions) order; zero flips count, so the witness for an already
     minimal s is the empty pattern.
-
-    Raises SearchTooLarge if the enumeration would exceed SEARCH_BUDGET
-    patterns (counted after parity pruning).
     """
-    weights = _search_weights(s, k)
-    best = core._lc_value(s.value, s.exponent)
-    best_mask = 0
-    if best > 0:
-        period = 1 << s.exponent
-        value = s.value
-        if s.exponent <= core.TABLE_MAX_EXPONENT:
-            table = core.lc_table(s.exponent)
-            for w in weights:
-                for mask in _iter_masks(period, w):
-                    lc = table[value ^ mask]
-                    if lc < best:
-                        best = lc
-                        best_mask = mask
-                        if lc == 0:
-                            return _result(k, best, best_mask)
-        else:
-            exponent = s.exponent
-            for w in weights:
-                for mask in _iter_masks(period, w):
-                    lc = core._lc_value(value ^ mask, exponent)
-                    if lc < best:
-                        best = lc
-                        best_mask = mask
-                        if lc == 0:
-                            return _result(k, best, best_mask)
-    return _result(k, best, best_mask)
+    if not 0 <= k <= s.period:
+        raise InvalidParams(f"k must be in [0, {s.period}], got {k}")
+    value, witness = _lightest_first(_bits(s), k)
+    return KErrorResult(k, value, ErrorPattern(witness))
 
 
-def _result(k: int, value: int, mask: int) -> KErrorResult:
-    return KErrorResult(k, value, ErrorPattern(_mask_positions(mask)))
+def _unit_prices(s: PeriodicSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The period of s as bits, and a price of one flip per position."""
+    return _bits(s), np.ones(s.period, dtype=np.int64)
 
 
 def k_error_profile(s: PeriodicSequence, k_max: int) -> list[tuple[int, int]]:
     """The non-increasing profile [(k, k-error complexity)] for k = 0..k_max."""
+    bits, unit = _unit_prices(s)
     profile: list[tuple[int, int]] = []
     value = None
     for k in range(k_max + 1):
         if value != 0:
-            value = k_error_lc(s, k).value
+            value = _stamp_martin(bits, unit, k)[0]
         profile.append((k, value))
     return profile
 
@@ -191,11 +231,17 @@ def k_min_formula(s: PeriodicSequence) -> int:
 
 
 def k_min_search(s: PeriodicSequence, k_cap: int) -> int:
-    """Brute-force companion of k_min_formula: try k = 1, 2, ... up to k_cap."""
+    """Search companion of k_min_formula: try k = 1, 2, ... up to k_cap.
+
+    Only k of the weight parity of s are tried: a flip pattern of the
+    other parity leaves a period of odd weight, whose complexity 2^n is
+    never below L(s).
+    """
     if s.value == 0:
         raise UndefinedForZeroSequence("complexity 0 cannot decrease")
     base = core._lc_value(s.value, s.exponent)
-    for k in range(1, k_cap + 1):
-        if k_error_lc(s, k).value < base:
+    bits, unit = _unit_prices(s)
+    for k in range(2 - s.weight() % 2, k_cap + 1, 2):
+        if _stamp_martin(bits, unit, k)[0] < base:
             return k
     raise NotFoundWithinCap(f"no pattern of weight <= {k_cap} lowers {base}")

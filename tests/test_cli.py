@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,17 @@ import pytest
 
 from lcforge.census import render_json
 from lcforge.cli import main
-from lcforge.counting import n2_lcless
+from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
+from lcforge.counting import n2_lcless, n3_total
+
+
+def _decimal_to_int(digits: str) -> int:
+    """Parse a decimal string of any length, chunk by chunk."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def run_cli(capsys, *argv):
@@ -100,11 +111,32 @@ class TestKerr:
         assert "Lk = 0" in out
         assert "witness = [0, 1]" in out
 
-    def test_over_budget_search_is_an_error_exit(self, capsys):
+    def test_four_errors_at_period_1024_succeed(self, capsys):
+        # once refused as over budget: the pair itself is the only
+        # lightest pattern that reaches complexity 0
         bits = "11" + "0" * 1022
-        code, _, err = run_cli(capsys, "kerr", "--n", "10", "--bits", bits, "--k", "4")
-        assert code == 2
-        assert err.startswith("error:")
+        code, out, _ = run_cli(
+            capsys, "kerr", "--n", "10", "--bits", bits, "--k", "4", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["L"], payload["Lk"], payload["witness"]) == (1023, 0, [0, 1])
+
+    def test_three_errors_at_odd_period_1024_succeed(self, capsys):
+        rng = random.Random(1024)
+        value = rng.getrandbits(1024) | 1 << 1023
+        if value.bit_count() % 2 == 0:
+            value ^= 1
+        bits = format(value, "01024b")[::-1]
+        code, out, _ = run_cli(
+            capsys, "kerr", "--n", "10", "--bits", bits, "--k", "3", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        witness = PeriodicSequence.from_support(10, payload["witness"])
+        assert 1 <= len(payload["witness"]) <= 3
+        s = PeriodicSequence(10, value)
+        assert lc_by_minimal_polynomial(s ^ witness) == payload["Lk"] < 1024
 
     def test_bad_k(self, capsys):
         code, _, err = run_cli(capsys, "kerr", "--n", "2", "--bits", "1100", "--k", "-1")
@@ -171,6 +203,23 @@ class TestCount:
         assert code == 0
         assert out.strip() == str(n2_lcless(8, 200))
         assert out.strip().isdigit()
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_counts_beyond_the_int_to_str_digit_limit(self, capsys, fmt):
+        code, out, _ = run_cli(
+            capsys, "count", "--n", "14", "--k", "3", "--class", "all",
+            "--L", "16000", "--format", fmt,
+        )
+        assert code == 0
+        expected = n3_total(14, 16000)
+        # the count is compared in hex: decimal conversion of a number this
+        # long is what the command itself must get right
+        if fmt == "json":
+            digits = out.split('"count": ')[1].split()[0].rstrip(",")
+        else:
+            digits = out.splitlines()[-1].split(",")[-1]
+        assert len(digits) > 4300
+        assert _decimal_to_int(digits) == expected
 
     def test_no_formula_for_the_combo(self, capsys):
         code, _, err = run_cli(

@@ -96,6 +96,13 @@ class TestParse:
         with pytest.raises(InvalidDigit):
             parse_hex("-1", 3)
 
+    def test_int_literal_syntax_is_not_binary(self):
+        # int() accepts "_", a sign and surrounding whitespace; the parser
+        # must not, and must name the first offending index
+        for text, index in (("1_01", 1), ("+101", 0), ("10 1", 2)):
+            with pytest.raises(InvalidDigit, match=f"at index {index} "):
+                parse_binary(text, 2)
+
     def test_hex_needs_period_four(self):
         with pytest.raises(InvalidPeriod):
             parse_hex("1", 1)

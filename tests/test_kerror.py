@@ -1,8 +1,10 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from lcforge import kerror
 from lcforge.core import (
     PeriodicSequence,
     games_chan_lc,
@@ -13,11 +15,9 @@ from lcforge.errors import (
     InvalidParams,
     InvalidSupport,
     NotFoundWithinCap,
-    SearchTooLarge,
     UndefinedForZeroSequence,
 )
 from lcforge.kerror import (
-    SEARCH_BUDGET,
     ErrorPattern,
     k_error_lc,
     k_error_profile,
@@ -126,12 +126,27 @@ class TestKErrorLc:
         with pytest.raises(InvalidParams):
             k_error_lc(PeriodicSequence.zeros(2), -1)
 
-    def test_budget_exceeded(self):
-        # even-weight period 1024: weights {2, 4} alone overflow the budget
+    def test_pair_at_period_1024_with_four_errors(self):
+        # once refused as over budget (weights 2 and 4 alone are 4.5e10
+        # patterns); flipping the pair is the only way to complexity 0
         s = PeriodicSequence.from_support(10, (0, 1))
-        with pytest.raises(SearchTooLarge) as info:
-            k_error_lc(s, 4)
-        assert info.value.estimated_count > SEARCH_BUDGET
+        r = k_error_lc(s, 4)
+        assert (r.value, r.witness.positions) == (0, (0, 1))
+
+    def test_odd_weight_period_1024_with_three_errors(self):
+        rng = random.Random(10)
+        value = rng.getrandbits(1024)
+        if value.bit_count() % 2 == 0:
+            value ^= 1
+        s = PeriodicSequence(10, value)
+        r = k_error_lc(s, 3)
+        assert r.witness.weight in (1, 3)
+        assert lc_by_minimal_polynomial(s ^ r.witness.as_sequence(10)) == r.value
+        assert r.value < 1024 == lc_by_minimal_polynomial(s)
+        # a sparse odd period of the same size has a known answer
+        s = PeriodicSequence.from_support(10, (0, 1, 2))
+        r = k_error_lc(s, 3)
+        assert (r.value, r.witness.positions) == (0, (0, 1, 2))
 
     def test_monotone_in_k(self):
         table_checked = 0
@@ -145,6 +160,116 @@ class TestKErrorLc:
                 last = v
                 table_checked += 1
         assert table_checked == 256 * 5
+
+
+def _remainders(positions, m):
+    """x^p mod (1 + x)^m over GF(2) for each p, as packed integers."""
+    modulus = 1
+    for _ in range(m):
+        modulus ^= modulus << 1
+    out = []
+    for p in positions:
+        r = 1 << p
+        while r.bit_length() > m:
+            r ^= modulus << (r.bit_length() - 1 - m)
+        out.append(r)
+    return out
+
+
+def brute_profile(s: PeriodicSequence, k_max: int):
+    """Independent profile oracle for k_max <= 6: an exhaustive search over
+    every flip pattern, met in the middle.
+
+    L(t) <= N - m exactly when (1 + x)^m divides the period polynomial
+    t(x), the root-multiplicity criterion behind lc_by_minimal_polynomial.
+    Reduction modulo (1 + x)^m is linear, so some pattern e of weight <= k
+    takes s to complexity <= N - m iff e leaves the remainder of s; every
+    such e is the sum of two patterns of weight <= 3.
+    """
+    assert k_max <= 6 and s.exponent <= 6
+    period = s.period
+    light = [
+        np.array(list(combinations(range(period), w)), dtype=np.intp)
+        for w in range(1, 4)
+    ]
+
+    def reachable(L, k):
+        rem = np.array(_remainders(range(period), period - L), dtype=np.uint64)
+        target = np.bitwise_xor.reduce(rem[list(s.support())], initial=np.uint64(0))
+
+        def patterns(w_max):  # remainders of every pattern of weight <= w_max
+            return np.concatenate(
+                [np.zeros(1, dtype=np.uint64)]
+                + [np.bitwise_xor.reduce(rem[idx], axis=1) for idx in light[:w_max]]
+            )
+
+        return bool(np.isin(patterns((k + 1) // 2) ^ target, patterns(k // 2)).any())
+
+    profile = []
+    for k in range(k_max + 1):
+        lo, hi = 0, period
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if reachable(mid, k):
+                hi = mid
+            else:
+                lo = mid + 1
+        profile.append((k, lo))
+    return profile
+
+
+class TestAgainstBruteForce:
+    def test_every_sequence_up_to_n3(self):
+        for n in range(4):
+            for value in range(1 << (1 << n)):
+                s = PeriodicSequence(n, value)
+                for k in range(min(4, 1 << n) + 1):
+                    r = k_error_lc(s, k)
+                    expected = brute_k_error(s, k)
+                    assert (r.value, r.witness.positions) == expected, (n, value, k)
+
+    def test_seeded_samples_n4_to_n6(self):
+        rng = random.Random(46)
+        for n, k, trials in ((4, 4, 12), (5, 3, 6), (6, 2, 6), (6, 3, 2)):
+            for _ in range(trials):
+                s = PeriodicSequence(n, rng.getrandbits(1 << n))
+                r = k_error_lc(s, k)
+                expected = brute_k_error(s, k)
+                assert (r.value, r.witness.positions) == expected, (n, s.value, k)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_witness_at_the_end_of_the_period(self, n):
+        period = 1 << n
+        s = PeriodicSequence.from_support(n, (period - 3, period - 1))
+        r = k_error_lc(s, 2)
+        assert (r.value, r.witness.positions) == (0, (period - 3, period - 1))
+
+    def test_end_of_period_witness_matches_brute_n8(self):
+        s = PeriodicSequence.from_support(8, (253, 255))
+        r = k_error_lc(s, 2)
+        assert (r.value, r.witness.positions) == brute_k_error(s, 2)
+
+    def test_profile_n6(self):
+        rng = random.Random(66)
+        for parity in (0, 1, 0):
+            value = rng.getrandbits(64)
+            if value.bit_count() % 2 != parity:
+                value ^= 1 << 63
+            s = PeriodicSequence(6, value)
+            expected = brute_profile(s, 6)
+            assert k_error_profile(s, 6) == expected, value
+            # the oracle itself agrees with plain enumeration where that is cheap
+            assert [v for _, v in expected[:3]] == [
+                brute_k_error(s, k)[0] for k in range(3)
+            ]
+
+    def test_python_int_prices_agree(self, monkeypatch):
+        # prices too large for int64 switch the kernel to Python ints
+        rng = random.Random(4)
+        cases = [(PeriodicSequence(4, rng.getrandbits(16)), 3) for _ in range(5)]
+        fast = [k_error_lc(s, k) for s, k in cases]
+        monkeypatch.setattr(kerror, "_price_type", lambda budget, period: object)
+        assert [k_error_lc(s, k) for s, k in cases] == fast
 
 
 class TestProfile:
