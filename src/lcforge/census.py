@@ -9,9 +9,9 @@ yields the same draws regardless of how the work is sharded.
 
 Work is split into contiguous shards of the index space and merged by
 componentwise addition, so results are identical for any worker count.
-The heavy lifting is vectorised: a byte lookup table (or a vectorised
-halving recurrence when no table fits) scores whole shards per flip
-pattern at once.
+Each shard is scored by the k-error kernel of lcforge.kerror, unit
+priced with budget k, over blocks of rows at once, so the cost of a
+census does not depend on k.
 
 verify_formulas joins a census with the closed forms from
 lcforge.counting, and refutation_report reruns the period-16 3-error
@@ -27,18 +27,21 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from hashlib import blake2b
-from itertools import combinations
 from math import sqrt
 from time import perf_counter
 
 import numpy as np
 
-from . import core, counting
+from . import counting
 from .errors import InvalidParams, NoFormulaAvailable, TooLarge
+from .kerror import _stamp_martin
 
 MAX_CENSUS_EXPONENT = 5
 MAX_EXHAUSTIVE_EXPONENT = 4
 MAX_ERRORS = 4
+
+# rows per kernel call in a census: keeps a worker's temporaries near 1 MiB
+_BLOCK_ROWS = 1024
 
 
 class SequenceClass(Enum):
@@ -191,57 +194,21 @@ def _popcount_parity(values: np.ndarray) -> np.ndarray:
     return (v & np.uint64(1)).astype(np.uint8)
 
 
-def _lc_bulk(values: np.ndarray, exponent: int) -> np.ndarray:
-    """Vectorised halving recurrence over packed period values (uint64)."""
-    v = values.astype(np.uint64, copy=True)
-    lc = np.zeros(v.shape, dtype=np.int64)
-    for t in range(exponent, 0, -1):
-        half = 1 << (t - 1)
-        mask = np.uint64((1 << half) - 1)
-        left = v & mask
-        right = v >> np.uint64(half)
-        unequal = left != right
-        lc[unequal] += half
-        v = np.where(unequal, left ^ right, left)
-    return lc + (v & np.uint64(1)).astype(np.int64)
-
-
-def _flip_masks(period: int, weight: int) -> list[int]:
-    masks = []
-    for combo in combinations(range(period), weight):
-        mask = 0
-        for p in combo:
-            mask |= 1 << p
-        masks.append(mask)
-    return masks
-
-
 def _tally_minima(values: np.ndarray, n: int, k: int) -> np.ndarray:
     """Per-L tally of the exact k-error complexity of each packed value.
 
-    Values may mix weight parities; each parity group is scored against
-    the pattern weights that can actually help it: a pattern of the other
-    parity leaves an odd-weight period, whose complexity 2^n is never lower.
+    Values go through the Stamp-Martin kernel with unit prices and
+    budget k, _BLOCK_ROWS of them per call.
     """
     period = 1 << n
-    if n <= core.TABLE_MAX_EXPONENT:
-        table = np.frombuffer(core.lc_table(n), dtype=np.uint8)
-        score = lambda arr: table[arr].astype(np.int64)  # noqa: E731
-    else:
-        score = lambda arr: _lc_bulk(arr, n)  # noqa: E731
-    parities = _popcount_parity(values)
     tally = np.zeros(period + 1, dtype=np.int64)
-    for parity in (0, 1):
-        group = values[parities == parity]
-        if group.size == 0:
-            continue
-        best = score(group)
-        for w in range(1, k + 1):
-            if (w & 1) != parity:
-                continue
-            for mask in _flip_masks(period, w):
-                np.minimum(best, score(group ^ np.uint64(mask)), out=best)
-        tally += np.bincount(best, minlength=period + 1)
+    unit = np.ones((_BLOCK_ROWS, period), dtype=np.int64)
+    for start in range(0, len(values), _BLOCK_ROWS):
+        block = values[start : start + _BLOCK_ROWS].astype("<u8", copy=False)
+        octets = block.view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :period]
+        lc, _ = _stamp_martin(bits.view(bool), unit[: len(block)], k)
+        tally += np.bincount(lc, minlength=period + 1)
     return tally
 
 
@@ -305,8 +272,6 @@ def census_distribution(query: CensusQuery, jobs: int = 1) -> CensusReport:
     if jobs < 1:
         raise InvalidParams(f"jobs must be at least 1, got {jobs}")
     start = perf_counter()
-    if query.n <= core.TABLE_MAX_EXPONENT:
-        core.lc_table(query.n)  # built once here; forked workers inherit it
     args = (query.n, query.k, query.seq_class.value)
     if isinstance(query.mode, Exhaustive):
         counts = _run_shards(_exhaustive_shard, args, 1 << (1 << query.n), jobs)

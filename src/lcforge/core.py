@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable
 
 from .errors import (
@@ -39,6 +40,11 @@ TABLE_MAX_EXPONENT = 4
 
 _NOT_BINARY = re.compile("[^01]")
 _NOT_HEX = re.compile("[^0-9a-fA-F]")
+
+# Conversions between positions as bytes 0/1 and as binary digits; the
+# digits go through int() and format(), which are linear in the period.
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -74,38 +80,37 @@ class PeriodicSequence:
             raise InvalidPeriod(
                 f"period length must be a power of two, got {len(items)}"
             )
-        value = 0
         for i, bit in enumerate(items):
             if bit not in (0, 1):
                 raise InvalidDigit(f"bit at position {i} is {bit!r}, not 0/1")
-            value |= bit << i
-        return cls(exponent, value)
+        digits = "".join("1" if bit else "0" for bit in reversed(items))
+        return cls(exponent, int(digits, 2))
 
     @classmethod
     def from_support(cls, exponent: int, positions: Iterable[int]) -> PeriodicSequence:
         """Build the sequence whose ones sit exactly at the given positions."""
-        period = 1 << exponent
-        value = 0
+        period = cls.zeros(exponent).period
+        marks = bytearray(period)
         for pos in positions:
             if not 0 <= pos < period:
                 raise InvalidSupport(f"position {pos} outside [0, {period})")
-            if value >> pos & 1:
+            if marks[pos]:
                 raise InvalidSupport(f"position {pos} listed twice")
-            value |= 1 << pos
-        return cls(exponent, value)
+            marks[pos] = 1
+        return cls(exponent, int(marks[::-1].translate(_TO_DIGITS), 2))
+
+    def _marks(self) -> bytes:
+        """One period as bytes 0/1, position 0 first."""
+        digits = format(self.value, f"0{self.period}b")[::-1]
+        return digits.encode("ascii").translate(_FROM_DIGITS)
 
     def bits(self) -> tuple[int, ...]:
         """One period as a tuple of 0/1 values, position 0 first."""
-        return tuple(self.value >> i & 1 for i in range(self.period))
+        return tuple(self._marks())
 
     def support(self) -> tuple[int, ...]:
         """Positions of the ones, strictly increasing."""
-        value, out = self.value, []
-        while value:
-            low = value & -value
-            out.append(low.bit_length() - 1)
-            value ^= low
-        return tuple(out)
+        return tuple(compress(range(self.period), self._marks()))
 
     def weight(self) -> int:
         """Number of ones in one period."""
@@ -170,16 +175,6 @@ def parse_hex(text: str, exponent: int) -> PeriodicSequence:
     # MSB of the hex number is position 0, so reverse the bit order.
     msb_first = format(int(text, 16), f"0{period}b")
     return PeriodicSequence(exponent, int(msb_first[::-1], 2))
-
-
-def hamming_weight(s: PeriodicSequence) -> int:
-    """Number of ones in one period of s."""
-    return s.value.bit_count()
-
-
-def add(a: PeriodicSequence, b: PeriodicSequence) -> PeriodicSequence:
-    """Positionwise sum over GF(2) of two sequences with equal periods."""
-    return a ^ b
 
 
 def halve(s: PeriodicSequence) -> PeriodicSequence:

@@ -6,11 +6,11 @@ period.
 
 Everything here rests on one kernel, the cost-vector halving of Stamp
 and Martin (IEEE Trans. IT 39(4), 1993), vectorised per level in numpy:
-given one period, a price for flipping each position and a budget, it
-returns the least complexity reachable at a total price within the
-budget, and the least total price that reaches it, in O(N).  With unit
-prices and budget k that is L_k, all that k_error_profile and
-k_min_search need.
+given one period or a batch of them, a price for flipping each position
+and a budget, it returns per period the least complexity reachable at a
+total price within the budget, and the least total price that reaches
+it, in O(N).  With unit prices and budget k that is L_k, all that
+k_error_profile, k_min_search and the censuses of lcforge.census need.
 
 k_error_lc also reports a canonical witness: among the lightest patterns
 reaching L_k, the first in lexicographic position order (zero flips
@@ -94,45 +94,50 @@ def _bits(s: PeriodicSequence) -> np.ndarray:
     return bits[: s.period].view(bool)
 
 
-def _stamp_martin(bits: np.ndarray, cost: np.ndarray, budget: int) -> tuple[int, int]:
+def _stamp_martin(
+    bits: np.ndarray, cost: np.ndarray, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Least complexity reachable by flips of total cost <= budget, and the
-    least total cost that reaches it.
+    least total cost that reaches it, for each period in a batch.
 
-    At each halving the two halves are made equal when the cheapest way
-    to do so fits the budget left; otherwise the level adds its half
-    length and the halves are folded by XOR.  Either way each folded
-    position carries the price of flipping it in the folded sequence.
-    Prices saturate at budget + 1, "unaffordable", which keeps every
-    comparison with the shrinking budget exact without big sentinels;
-    they are int64 unless a level's sum could overflow it.
+    `bits` and `cost` have shape (..., N): a period per row, position 0
+    first, with the price of flipping each position.  The result is a
+    pair of arrays of the leading shape, 0-d for a single period.
+
+    At each halving a row's two halves are made equal when the cheapest
+    way to do so fits the budget it has left; otherwise the level adds
+    its half length to the row and the halves are folded by XOR.  Either
+    way each folded position carries the price of flipping it in the
+    folded sequence.  Prices saturate at budget + 1, "unaffordable",
+    which keeps every comparison with the shrinking budget exact without
+    big sentinels; they are int64 unless a level's sum could overflow it.
     """
     cap = budget + 1
-    cost = np.minimum(cost.astype(_price_type(budget, len(bits)), copy=False), cap)
-    left, lc = budget, 0
-    half = len(bits) >> 1
+    dtype = _price_type(budget, bits.shape[-1])
+    cost = np.minimum(cost.astype(dtype, copy=False), cap)
+    # per-row state keeps a trailing axis of length 1, so that it
+    # broadcasts against the halves and stays an array for one period
+    left = np.full(bits.shape[:-1] + (1,), budget, dtype=dtype)
+    lc = np.zeros(left.shape, dtype=np.int64)
+    half = bits.shape[-1] >> 1
     while half:
-        a, b = bits[:half], bits[half:]
-        ca, cb = cost[:half], cost[half:]
+        a, b = bits[..., :half], bits[..., half:]
+        ca, cb = cost[..., :half], cost[..., half:]
         differ = a != b
         cheaper = np.minimum(ca, cb)
         repair = cheaper * differ
-        spend = int(repair.sum())
-        if spend <= left:
-            left -= spend
-            # flip the cheaper side; the other side's price becomes the
-            # difference, and two equal positions cost both to change
-            bits = np.where(ca <= cb, b, a)
-            cost = np.minimum(ca + cb - 2 * repair, cap)
-        else:
-            lc += half
-            bits, cost = differ, cheaper
+        spend = repair.sum(axis=-1, keepdims=True)
+        fits = spend <= left
+        left = left - spend * fits
+        lc = lc + half * ~fits
+        # where the repair fits, flip the cheaper side; the other side's
+        # price becomes the difference, and two equal positions cost both
+        # to change
+        bits = np.where(fits, np.where(ca <= cb, b, a), differ)
+        cost = np.where(fits, np.minimum(ca + cb - 2 * repair, cap), cheaper)
         half >>= 1
-    if bits[0]:
-        if cost[0] <= left:
-            left -= int(cost[0])
-        else:
-            lc += 1
-    return lc, budget - left
+    paid = bits & (cost <= left)
+    return (lc + (bits & ~paid))[..., 0], (budget - left + cost * paid)[..., 0]
 
 
 def _lightest_first(bits: np.ndarray, k: int) -> tuple[int, tuple[int, ...]]:
@@ -164,7 +169,7 @@ def _lightest_first(bits: np.ndarray, k: int) -> tuple[int, tuple[int, ...]]:
         cost = np.full(period, price, dtype=dtype)
         cost[:start] = budget + 1  # flipped already, or passed over
         cost[start : start + span] -= np.repeat(rebates, size)[:span]
-        value, spent = _stamp_martin(bits, cost, budget)
+        value, spent = map(int, _stamp_martin(bits, cost, budget))
         rem = -(-spent // price)
         earned = rem * price - spent
         counts = []
@@ -207,12 +212,14 @@ def _unit_prices(s: PeriodicSequence) -> tuple[np.ndarray, np.ndarray]:
 
 def k_error_profile(s: PeriodicSequence, k_max: int) -> list[tuple[int, int]]:
     """The non-increasing profile [(k, k-error complexity)] for k = 0..k_max."""
+    if not 0 <= k_max <= s.period:
+        raise InvalidParams(f"k_max must be in [0, {s.period}], got {k_max}")
     bits, unit = _unit_prices(s)
     profile: list[tuple[int, int]] = []
     value = None
     for k in range(k_max + 1):
         if value != 0:
-            value = _stamp_martin(bits, unit, k)[0]
+            value = int(_stamp_martin(bits, unit, k)[0])
         profile.append((k, value))
     return profile
 
@@ -242,6 +249,6 @@ def k_min_search(s: PeriodicSequence, k_cap: int) -> int:
     base = core._lc_value(s.value, s.exponent)
     bits, unit = _unit_prices(s)
     for k in range(2 - s.weight() % 2, k_cap + 1, 2):
-        if _stamp_martin(bits, unit, k)[0] < base:
+        if int(_stamp_martin(bits, unit, k)[0]) < base:
             return k
     raise NotFoundWithinCap(f"no pattern of weight <= {k_cap} lowers {base}")

@@ -1,8 +1,10 @@
 import json
+from itertools import combinations
 
 import pytest
 
 from lcforge.census import (
+    _draw_value,
     CensusQuery,
     Exhaustive,
     Sampled,
@@ -16,6 +18,7 @@ from lcforge.census import (
     render_json,
     verify_formulas,
 )
+from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
 from lcforge.counting import kavuluru_table1, n3_total, rueppel_count
 from lcforge.errors import InvalidParams, NoFormulaAvailable, TooLarge
 
@@ -167,6 +170,26 @@ class TestSampledCensus:
         report = census_distribution(CensusQuery(5, 4, ALL, Sampled(200, seed=2)))
         assert len(report.rows) == 33
         assert report.census_total == 200
+
+    @pytest.mark.parametrize("k, draws", [(2, 64), (3, 8)])
+    def test_n5_matches_brute_force_over_the_same_draws(self, k, draws):
+        seed = 17
+        report = census_distribution(CensusQuery(5, k, ALL, Sampled(draws, seed)))
+        masks = [0] + [
+            sum(1 << p for p in combo)
+            for w in range(1, k + 1)
+            for combo in combinations(range(32), w)
+        ]
+        tally = [0] * 33
+        for i in range(draws):
+            value = _draw_value(seed, i, 5, ALL)
+            tally[
+                min(
+                    lc_by_minimal_polynomial(PeriodicSequence(5, value ^ mask))
+                    for mask in masks
+                )
+            ] += 1
+        assert [row.census for row in report.rows] == tally
 
     def test_intervals_cover_the_exact_proportions(self):
         # the three-sigma band should capture the truth essentially always

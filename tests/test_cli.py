@@ -1,10 +1,13 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lcforge
 from lcforge.census import render_json
 from lcforge.cli import main
 from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
@@ -176,6 +179,15 @@ class TestProfile:
         assert code == 0
         values = [int(line.split()[1]) for line in out.splitlines()[1:]]
         assert values == sorted(values, reverse=True)
+
+    @pytest.mark.parametrize("kmax", ["-1", "5"])
+    def test_kmax_outside_the_period_is_an_error(self, capsys, kmax):
+        code, out, err = run_cli(
+            capsys, "profile", "--n", "2", "--bits", "1000", "--kmax", kmax
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "k_max" in err
 
 
 class TestCount:
@@ -367,10 +379,15 @@ class TestRefute:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same lcforge as this test, installed or not
+        src = str(Path(lcforge.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lcforge", "lc", "--n", "2", "--bits", "1000"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "L = 4" in proc.stdout

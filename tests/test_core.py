@@ -6,10 +6,8 @@ import pytest
 from lcforge import core
 from lcforge.core import (
     PeriodicSequence,
-    add,
     games_chan_lc,
     halve,
-    hamming_weight,
     lc_by_minimal_polynomial,
     lc_pair,
     lc_quad,
@@ -48,21 +46,42 @@ class TestPeriodicSequence:
         assert s.bits() == (1, 0, 1, 1)
         with pytest.raises(InvalidPeriod):
             PeriodicSequence.from_bits([1, 0, 1])
-        with pytest.raises(InvalidDigit):
+        with pytest.raises(InvalidDigit, match="position 2 is 2,"):
             PeriodicSequence.from_bits([1, 0, 2, 0])
 
     def test_from_support(self):
         s = PeriodicSequence.from_support(4, (0, 12))
         assert s.support() == (0, 12)
         assert s.weight() == 2
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidSupport, match="position 16 outside"):
             PeriodicSequence.from_support(4, (16,))
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidSupport, match="position -1 outside"):
+            PeriodicSequence.from_support(4, (-1,))
+        with pytest.raises(InvalidSupport, match="position 3 listed twice"):
             PeriodicSequence.from_support(4, (3, 3))
+
+    def test_conversions_match_positionwise_definitions(self):
+        rng = random.Random(8)
+        cases = [PeriodicSequence(n, v) for n in range(4) for v in range(1 << (1 << n))]
+        cases += [PeriodicSequence(n, rng.getrandbits(1 << n)) for n in range(4, 9)]
+        for s in cases:
+            bits = tuple(s.value >> i & 1 for i in range(s.period))
+            support = tuple(i for i in range(s.period) if s.value >> i & 1)
+            assert s.bits() == bits
+            assert s.support() == support
+            assert PeriodicSequence.from_bits(list(bits)) == s
+            assert PeriodicSequence.from_support(s.exponent, support[::-1]) == s
+
+    def test_conversions_round_trip_at_n20(self):
+        s = PeriodicSequence(20, random.Random(20).getrandbits(1 << 20))
+        bits, support = s.bits(), s.support()
+        assert len(bits) == 1 << 20 and sum(bits) == len(support) == s.weight()
+        assert PeriodicSequence.from_bits(bits) == s
+        assert PeriodicSequence.from_support(20, support) == s
 
     def test_zeros(self):
         assert PeriodicSequence.zeros(3).value == 0
-        assert hamming_weight(PeriodicSequence.zeros(3)) == 0
+        assert PeriodicSequence.zeros(3).weight() == 0
 
 
 class TestParse:
@@ -120,12 +139,12 @@ class TestAddAndHalve:
     def test_add_is_xor(self):
         a = PeriodicSequence.from_bits([1, 1, 0, 0])
         b = PeriodicSequence.from_bits([0, 1, 1, 0])
-        assert add(a, b).bits() == (1, 0, 1, 0)
-        assert add(a, a).value == 0
+        assert (a ^ b).bits() == (1, 0, 1, 0)
+        assert (a ^ a).value == 0
 
     def test_add_rejects_period_mismatch(self):
         with pytest.raises(PeriodMismatch):
-            add(PeriodicSequence.zeros(2), PeriodicSequence.zeros(3))
+            PeriodicSequence.zeros(2) ^ PeriodicSequence.zeros(3)
 
     def test_halve_examples(self):
         assert halve(PeriodicSequence.from_bits([1, 0, 0, 0])).bits() == (1, 0)

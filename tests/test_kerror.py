@@ -272,6 +272,45 @@ class TestAgainstBruteForce:
         assert [k_error_lc(s, k) for s, k in cases] == fast
 
 
+class TestBatchedKernel:
+    @staticmethod
+    def _rows_match(bits, cost, budget):
+        lc, spent = kerror._stamp_martin(bits, cost, budget)
+        assert lc.shape == spent.shape == bits.shape[:-1]
+        period = bits.shape[-1]
+        rows = zip(bits.reshape(-1, period), cost.reshape(-1, period))
+        for row, (row_bits, row_cost) in enumerate(rows):
+            single = kerror._stamp_martin(row_bits, row_cost, budget)
+            assert (lc.flat[row], spent.flat[row]) == tuple(map(int, single))
+            assert 0 <= lc.flat[row] <= period and 0 <= spent.flat[row] <= budget
+
+    def test_rows_equal_single_calls_int64(self):
+        rng = np.random.default_rng(31)
+        for n in range(7):
+            period = 1 << n
+            bits = rng.integers(0, 2, (3, 8, period)).astype(bool)
+            cost = rng.integers(0, 7, (3, 8, period))
+            assert kerror._price_type(3 * period, period) is np.int64
+            for budget in (0, 1, 2, 5, 3 * period):
+                self._rows_match(bits, cost, budget)
+
+    def test_rows_equal_single_calls_python_ints(self):
+        rng = random.Random(32)
+        for n in range(6):
+            period = 1 << n
+            bits = np.array(
+                [[rng.getrandbits(1) for _ in range(period)] for _ in range(12)],
+                dtype=bool,
+            )
+            cost = np.array(
+                [[rng.getrandbits(66) for _ in range(period)] for _ in range(12)],
+                dtype=object,
+            )
+            for budget in (1 << 64, 1 << 66, 1 << 68):
+                assert kerror._price_type(budget, period) is object
+                self._rows_match(bits, cost, budget)
+
+
 class TestProfile:
     def test_zero_sequence(self):
         assert k_error_profile(PeriodicSequence.zeros(3), 2) == [(0, 0), (1, 0), (2, 0)]
@@ -290,6 +329,13 @@ class TestProfile:
             (2, 0),
             (3, 0),
         ]
+
+    def test_k_max_out_of_range(self):
+        s = PeriodicSequence.from_support(2, (0,))
+        assert k_error_profile(s, 4)[-1] == (4, 0)
+        for k_max in (-1, 5):
+            with pytest.raises(InvalidParams):
+                k_error_profile(s, k_max)
 
     def test_matches_pointwise_calls(self):
         rng = random.Random(3)
