@@ -3,15 +3,20 @@
 A census tallies, for every complexity value L, how many sequences of
 period 2^n have k-error linear complexity exactly L — either over all
 sequences or restricted to one weight-parity class.  Exhaustive censuses
-(n <= 4) walk every packed period value; sampled censuses (n <= 5) draw
-values from a counter-based hash stream so the same (seed, count) always
-yields the same draws regardless of how the work is sharded.
+(n <= 4) score one period per cyclic-shift orbit of the class and weight
+it by the orbit's size: L and L_k do not change under a cyclic shift
+(x is a unit modulo x^N - 1, and a shifted error pattern gives the
+shifted result).  Sampled censuses (n <= 5) draw values from a
+counter-based hash stream so the same (seed, count) always yields the
+same draws regardless of how the work is sharded.
 
-Work is split into contiguous shards of the index space and merged by
-componentwise addition, so results are identical for any worker count.
-Each shard is scored by the k-error kernel of lcforge.kerror, unit
-priced with budget k, over blocks of rows at once, so the cost of a
-census does not depend on k.
+Work is split into contiguous shards of the rows (orbits or draws) and
+merged by componentwise addition, so results are identical for any
+worker count.  A census with fewer than two shards' worth of rows runs
+in the calling process; larger ones use at most `jobs` workers and no
+more than the machine's cores.  Each shard is scored by the k-error
+kernel of lcforge.kerror, unit priced with budget k, over blocks of rows
+at once, so the cost of a census does not depend on k.
 
 verify_formulas joins a census with the closed forms from
 lcforge.counting, and refutation_report reruns the period-16 3-error
@@ -22,10 +27,12 @@ it contradicts.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from hashlib import blake2b
 from math import sqrt
 from time import perf_counter
@@ -42,6 +49,9 @@ MAX_ERRORS = 4
 
 # rows per kernel call in a census: keeps a worker's temporaries near 1 MiB
 _BLOCK_ROWS = 1024
+# rows per shard: below two shards' worth a census runs in the calling
+# process, where it is done sooner than a worker pool could start
+_SHARD_ROWS = 8 * _BLOCK_ROWS
 
 
 class SequenceClass(Enum):
@@ -186,78 +196,106 @@ def render_json(payload) -> str:
 # tallying
 
 
-def _popcount_parity(values: np.ndarray) -> np.ndarray:
-    """Parity of the set-bit count of each uint64 value."""
-    v = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.uint8)
-
-
-def _tally_minima(values: np.ndarray, n: int, k: int) -> np.ndarray:
+def _tally_minima(
+    values: np.ndarray, weights: np.ndarray, n: int, k: int
+) -> np.ndarray:
     """Per-L tally of the exact k-error complexity of each packed value.
 
-    Values go through the Stamp-Martin kernel with unit prices and
-    budget k, _BLOCK_ROWS of them per call.
+    Value i counts `weights[i]` times.  Values go through the
+    Stamp-Martin kernel with unit prices and budget k, _BLOCK_ROWS of
+    them per call.
     """
     period = 1 << n
     tally = np.zeros(period + 1, dtype=np.int64)
-    unit = np.ones((_BLOCK_ROWS, period), dtype=np.int64)
+    little = values.dtype.newbyteorder("<")
     for start in range(0, len(values), _BLOCK_ROWS):
-        block = values[start : start + _BLOCK_ROWS].astype("<u8", copy=False)
-        octets = block.view(np.uint8).reshape(-1, 8)
+        block = values[start : start + _BLOCK_ROWS].astype(little, copy=False)
+        octets = block.view(np.uint8).reshape(len(block), -1)
         bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :period]
-        lc, _ = _stamp_martin(bits.view(bool), unit[: len(block)], k)
-        tally += np.bincount(lc, minlength=period + 1)
+        unit = np.broadcast_to(np.int64(1), bits.shape)
+        lc, _ = _stamp_martin(bits.view(bool), unit, k)
+        np.add.at(tally, lc, weights[start : start + _BLOCK_ROWS])
     return tally
 
 
 _CLASS_PARITY = {SequenceClass.FULL_LC: 1, SequenceClass.LESS_LC: 0}
 
 
-def _exhaustive_shard(n: int, k: int, class_value: str, lo: int, hi: int) -> list[int]:
-    """Tally for packed values in [lo, hi); module-level so workers can run it."""
-    seq_class = SequenceClass(class_value)
-    values = np.arange(lo, hi, dtype=np.uint64)
-    if seq_class is not SequenceClass.ALL:
-        values = values[_popcount_parity(values) == _CLASS_PARITY[seq_class]]
-    return _tally_minima(values, n, k).tolist()
+@lru_cache(maxsize=None)  # one entry per (n <= 4, class): 15 at most
+def _orbits(n: int, seq_class: SequenceClass) -> tuple[np.ndarray, np.ndarray]:
+    """Least member of each cyclic-shift orbit of the class, and its size.
 
-
-def _draw_value(seed: int, index: int, n: int, seq_class: SequenceClass) -> int:
-    """Deterministic draw: hash (seed, index), then force the class parity.
-
-    For a parity class, 2^n - 1 hash bits choose the low positions freely
-    and the top position is set to fix the parity; every class member
-    arises from exactly one bit string, so draws are uniform on the class.
+    Periods are packed in uint16 (bit i is position i), which holds every
+    period up to n = 4.  An orbit's size is the period divided by the
+    number of shifts that fix its members.  The arrays are read-only.
     """
-    data = seed.to_bytes(8, "big") + index.to_bytes(8, "big")
-    word = int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
+    period = 1 << n
+    values = np.arange(1 << period, dtype=np.uint16)
+    if seq_class is not SequenceClass.ALL:
+        values = values[(np.bitwise_count(values) & 1) == _CLASS_PARITY[seq_class]]
+    least = values.copy()
+    turned = values.copy()
+    spill = np.empty_like(values)
+    fixed = np.ones(len(values), dtype=np.uint8)
+    for _ in range(period - 1):
+        # turned = turned shifted cyclically by one more position
+        np.right_shift(turned, period - 1, out=spill)
+        np.left_shift(turned, 1, out=turned)
+        turned |= spill
+        turned &= (1 << period) - 1
+        np.minimum(least, turned, out=least)
+        fixed += turned == values
+    first = least == values
+    members, sizes = values[first], period // fixed[first].astype(np.int64)
+    members.flags.writeable = sizes.flags.writeable = False
+    return members, sizes
+
+
+def _exhaustive_shard(n: int, k: int, class_value: str, lo: int, hi: int) -> list[int]:
+    """Tally for orbits [lo, hi) of the class; module-level so workers can run it."""
+    members, sizes = _orbits(n, SequenceClass(class_value))
+    return _tally_minima(members[lo:hi], sizes[lo:hi], n, k).tolist()
+
+
+def _draws(seed: int, lo: int, hi: int, n: int, seq_class: SequenceClass) -> np.ndarray:
+    """Draws lo..hi-1 of the stream keyed by `seed`, packed as uint64.
+
+    Draw i hashes (seed, i) with blake2b and then forces the class
+    parity.  For a parity class, 2^n - 1 hash bits choose the low
+    positions freely and the top position is set to fix the parity;
+    every class member arises from exactly one bit string, so draws are
+    uniform on the class.
+    """
+    keyed = blake2b(seed.to_bytes(8, "big"), digest_size=8)
+    digests = bytearray()
+    for index in range(lo, hi):
+        draw = keyed.copy()
+        draw.update(index.to_bytes(8, "big"))
+        digests += draw.digest()
+    words = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
     period = 1 << n
     if seq_class is SequenceClass.ALL:
-        return word & ((1 << period) - 1)
-    free = word & ((1 << (period - 1)) - 1)
-    top = (free.bit_count() & 1) ^ _CLASS_PARITY[seq_class]
-    return free | top << (period - 1)
+        return words & np.uint64((1 << period) - 1)
+    free = words & np.uint64((1 << (period - 1)) - 1)
+    top = ((np.bitwise_count(free) & 1) ^ _CLASS_PARITY[seq_class]).astype(np.uint64)
+    return free | top << np.uint64(period - 1)
 
 
 def _sampled_shard(
     n: int, k: int, class_value: str, seed: int, lo: int, hi: int
 ) -> list[int]:
-    seq_class = SequenceClass(class_value)
-    draws = [_draw_value(seed, i, n, seq_class) for i in range(lo, hi)]
-    values = np.array(draws, dtype=np.uint64)
-    return _tally_minima(values, n, k).tolist()
+    values = _draws(seed, lo, hi, n, SequenceClass(class_value))
+    return _tally_minima(values, np.broadcast_to(1, values.shape), n, k).tolist()
 
 
-def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
-    shards = max(1, min(shards, total))
-    edges = [total * i // shards for i in range(shards + 1)]
+def _shard_bounds(rows: int, jobs: int) -> list[tuple[int, int]]:
+    shards = max(1, min(jobs, os.cpu_count() or 1, rows // _SHARD_ROWS))
+    edges = [rows * i // shards for i in range(shards + 1)]
     return list(zip(edges, edges[1:]))
 
 
-def _run_shards(worker, common_args: tuple, total: int, jobs: int) -> list[int]:
-    bounds = _shard_bounds(total, jobs)
+def _run_shards(worker, common_args: tuple, rows: int, jobs: int) -> list[int]:
+    bounds = _shard_bounds(rows, jobs)
     if len(bounds) == 1:
         return worker(*common_args, *bounds[0])
     with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
@@ -274,7 +312,8 @@ def census_distribution(query: CensusQuery, jobs: int = 1) -> CensusReport:
     start = perf_counter()
     args = (query.n, query.k, query.seq_class.value)
     if isinstance(query.mode, Exhaustive):
-        counts = _run_shards(_exhaustive_shard, args, 1 << (1 << query.n), jobs)
+        orbits = len(_orbits(query.n, query.seq_class)[0])
+        counts = _run_shards(_exhaustive_shard, args, orbits, jobs)
     else:
         counts = _run_shards(
             _sampled_shard, args + (query.mode.seed,), query.mode.count, jobs
@@ -309,13 +348,19 @@ _FORMULAS = {
 }
 
 
-def formula_counts(n: int, k: int, seq_class: SequenceClass) -> list[int]:
-    """Closed-form counts for every L, or NoFormulaAvailable."""
+def closed_form(k: int, seq_class: SequenceClass):
+    """The count function (n, L) -> int for (k, class), or NoFormulaAvailable."""
     formula = _FORMULAS.get((k, seq_class))
     if formula is None:
         raise NoFormulaAvailable(
             f"no closed form for k={k} on class '{seq_class.value}'"
         )
+    return formula
+
+
+def formula_counts(n: int, k: int, seq_class: SequenceClass) -> list[int]:
+    """Closed-form counts for every L, or NoFormulaAvailable."""
+    formula = closed_form(k, seq_class)
     return [formula(n, L) for L in range((1 << n) + 1)]
 
 

@@ -255,10 +255,12 @@ def _whole_decimals():
 
 def _cmd_count(args) -> int:
     seq_class = SequenceClass(args.seq_class)
-    counts = census_mod.formula_counts(args.n, args.k, seq_class)
-    if not 0 <= args.L < len(counts):
-        raise InvalidParams(f"--L must be in [0, {len(counts) - 1}], got {args.L}")
-    count = counts[args.L]
+    formula = census_mod.closed_form(args.k, seq_class)
+    if not 0 <= args.n <= core.MAX_EXPONENT:
+        raise InvalidParams(f"--n must be in [0, {core.MAX_EXPONENT}], got {args.n}")
+    if not 0 <= args.L <= 1 << args.n:
+        raise InvalidParams(f"--L must be in [0, {1 << args.n}], got {args.L}")
+    count = formula(args.n, args.L)
     with _whole_decimals():
         if args.format == "table":
             print(count)

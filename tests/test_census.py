@@ -1,10 +1,15 @@
 import json
+from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from lcforge import census
 from lcforge.census import (
-    _draw_value,
+    _SHARD_ROWS,
+    _draws,
+    _orbits,
     CensusQuery,
     Exhaustive,
     Sampled,
@@ -21,6 +26,7 @@ from lcforge.census import (
 from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
 from lcforge.counting import kavuluru_table1, n3_total, rueppel_count
 from lcforge.errors import InvalidParams, NoFormulaAvailable, TooLarge
+from lcforge.kerror import _stamp_martin
 
 ALL = SequenceClass.ALL
 FULL = SequenceClass.FULL_LC
@@ -117,6 +123,46 @@ class TestExhaustiveCensus:
         assert solo.to_csv() == duo.to_csv()
 
 
+class TestOrbits:
+    def test_sizes_cover_the_class(self):
+        for n in range(5):
+            for seq_class in (ALL, FULL, LESS):
+                members, sizes = _orbits(n, seq_class)
+                assert int(sizes.sum()) == class_size(n, seq_class), (n, seq_class)
+        assert [len(_orbits(4, c)[0]) for c in (ALL, FULL, LESS)] == [4116, 2048, 2068]
+
+    def test_members_are_least_of_their_orbit(self):
+        for n in range(4):
+            period = 1 << n
+            for seq_class in (ALL, FULL, LESS):
+                members, sizes = _orbits(n, seq_class)
+                for value, size in zip(members.tolist(), sizes.tolist()):
+                    turns = {
+                        (value >> j | value << (period - j)) & ((1 << period) - 1)
+                        for j in range(period)
+                    }
+                    assert min(turns) == value
+                    assert len(turns) == size
+                    if seq_class is not ALL:
+                        assert value.bit_count() % 2 == (seq_class is FULL)
+
+    def test_weighted_census_equals_a_tally_of_every_period(self):
+        # the full enumeration the orbits replace, kept as the oracle
+        values = np.arange(1 << 16, dtype=np.uint32)
+        bits = (values[:, None] >> np.arange(16, dtype=np.uint32) & 1).astype(bool)
+        odd = np.bitwise_count(values) % 2 == 1
+        unit = np.ones(bits.shape, dtype=np.int64)
+        for k in range(5):
+            lc = np.concatenate([
+                _stamp_martin(bits[i : i + 8192], unit[i : i + 8192], k)[0]
+                for i in range(0, 1 << 16, 8192)
+            ])
+            for seq_class, rows in ((ALL, slice(None)), (FULL, odd), (LESS, ~odd)):
+                tally = np.bincount(lc[rows], minlength=17).tolist()
+                report = exhaustive(4, k, seq_class)
+                assert [row.census for row in report.rows] == tally, (k, seq_class)
+
+
 class TestFormulaJoin:
     def test_every_served_combo_matches_exhaustively(self):
         for n in range(2, 5):
@@ -158,6 +204,69 @@ class TestSampledCensus:
         trio = census_distribution(CensusQuery(4, 3, ALL, Sampled(1000, seed=9)), jobs=3)
         assert solo.to_json() == trio.to_json()
 
+    def test_two_shards_match_one(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+        query = CensusQuery(4, 2, LESS, Sampled(2 * _SHARD_ROWS, seed=6))
+        solo = census_distribution(query, jobs=1)
+        duo = census_distribution(query, jobs=2)
+        assert pools == [2]
+        assert solo.to_json() == duo.to_json()
+        assert solo.to_csv() == duo.to_csv()
+
+    def test_workers_are_capped_at_the_core_count(self, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(census, "_SHARD_ROWS", 16)
+        monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+        query = CensusQuery(4, 2, ALL, Sampled(200, seed=8))
+        many = census_distribution(query, jobs=10**6)
+        assert pools == [3]
+        assert many.to_json() == census_distribution(query, jobs=1).to_json()
+
+    def test_small_censuses_start_no_pool(self, monkeypatch):
+        def refuse(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", refuse)
+        exhaustive(4, 1, FULL, jobs=8)
+        census_distribution(
+            CensusQuery(5, 2, ALL, Sampled(2 * _SHARD_ROWS - 1, seed=1)), jobs=8
+        )
+
+    def test_draws_are_pinned(self):
+        # the stream is blake2b-8 of (seed, index), both 8 bytes big-endian
+        assert _draws(2024, 0, 3, 5, ALL).tolist() == [0x83E5712, 0x4AC7EB65, 0x911699B2]
+        assert _draws(2024, 9999, 10000, 5, ALL).tolist() == [0x925C455F]
+        assert _draws(2024, 0, 3, 4, FULL).tolist() == [0x5712, 0x6B65, 0x19B2]
+        assert _draws(2024, 1, 3, 3, LESS).tolist() == [0x65, 0xB2]
+        values = _draws(5, 0, 500, 4, FULL)
+        assert (np.bitwise_count(values) % 2 == 1).all()
+        assert _draws(5, 100, 200, 4, FULL).tolist() == values[100:200].tolist()
+
     def test_class_draws_respect_the_class(self):
         # with no errors allowed, every odd-weight draw sits at full complexity
         report = census_distribution(CensusQuery(4, 0, FULL, Sampled(300, seed=5)))
@@ -181,8 +290,7 @@ class TestSampledCensus:
             for combo in combinations(range(32), w)
         ]
         tally = [0] * 33
-        for i in range(draws):
-            value = _draw_value(seed, i, 5, ALL)
+        for value in _draws(seed, 0, draws, 5, ALL).tolist():
             tally[
                 min(
                     lc_by_minimal_polynomial(PeriodicSequence(5, value ^ mask))

@@ -11,7 +11,7 @@ import lcforge
 from lcforge.census import render_json
 from lcforge.cli import main
 from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
-from lcforge.counting import n2_lcless, n3_total
+from lcforge.counting import n2_lcless, n2_total, n3_total
 
 
 def _decimal_to_int(digits: str) -> int:
@@ -246,6 +246,22 @@ class TestCount:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n", ["-1", "21"])
+    def test_n_out_of_range(self, capsys, n):
+        code, out, err = run_cli(
+            capsys, "count", "--n", n, "--k", "2", "--class", "all", "--L", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --n must be in [0, 20], got {n}\n"
+
+    def test_largest_period_evaluates_one_value(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "count", "--n", "20", "--k", "2", "--class", "all", "--L", "3"
+        )
+        assert code == 0
+        assert out == f"{n2_total(20, 3)}\n"
 
 
 class TestCensus:
