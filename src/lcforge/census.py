@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -151,25 +151,16 @@ class CensusReport:
         return proportion_interval(row.census, size)
 
     def to_csv(self) -> str:
-        lines = ["L,census,formula,verdict"]
-        for row in self.rows:
-            formula = "" if row.formula is None else str(row.formula)
-            lines.append(f"{row.L},{row.census},{formula},{row.verdict}")
-        return "\n".join(lines) + "\n"
+        return render_csv(_field_names(CensusRow), map(astuple, self.rows))
 
-    def to_json(self, stable: bool = True) -> str:
+    def to_json(self) -> str:
         if isinstance(self.mode, Sampled):
             mode = {"kind": "sampled", "count": self.mode.count, "seed": self.mode.seed}
         else:
             mode = {"kind": "exhaustive"}
         rows = []
         for row in self.rows:
-            item = {
-                "L": row.L,
-                "census": row.census,
-                "formula": row.formula,
-                "verdict": row.verdict,
-            }
+            item = asdict(row)
             interval = self.interval(row)
             if interval is not None:
                 item["interval"] = list(interval)
@@ -182,14 +173,31 @@ class CensusReport:
             "rows": rows,
             "totals": {"census": self.census_total, "formula": self.formula_total},
         }
-        if not stable:
-            payload["elapsed_seconds"] = self.elapsed
         return render_json(payload)
 
 
 def render_json(payload) -> str:
     """The one JSON renderer: parse-then-re-render is byte identical."""
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _field_names(row_type) -> list[str]:
+    return [field.name for field in fields(row_type)]
+
+
+def render_csv(header, rows) -> str:
+    """The one CSV renderer: None is empty, a list joins its items with spaces."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +347,15 @@ _FORMULAS = {
     (0, SequenceClass.ALL): counting.rueppel_count,
     (1, SequenceClass.FULL_LC): counting.n1_lcfull,
     (2, SequenceClass.LESS_LC): counting.n2_lcless,
-    (2, SequenceClass.FULL_LC): counting.n2_lcfull,
+    # one flip already makes an odd weight even; a second never helps
+    (2, SequenceClass.FULL_LC): counting.n1_lcfull,
     (2, SequenceClass.ALL): counting.n2_total,
-    (3, SequenceClass.LESS_LC): counting.n3_lcless,
+    # an odd number of flips on an even weight lands on full complexity
+    (3, SequenceClass.LESS_LC): counting.n2_lcless,
     (3, SequenceClass.FULL_LC): counting.n3_lcfull,
     (3, SequenceClass.ALL): counting.n3_total,
-    (4, SequenceClass.FULL_LC): counting.n4_lcfull,
+    # three flips already make an odd weight even; a fourth never helps
+    (4, SequenceClass.FULL_LC): counting.n3_lcfull,
 }
 
 
@@ -423,28 +434,14 @@ class RefutationReport:
         return tuple(row.L for row in self.rows if row.fixture != row.census)
 
     def to_csv(self) -> str:
-        lines = ["L,census,theorem,fixture,verdict"]
-        for row in self.rows:
-            lines.append(
-                f"{row.L},{row.census},{row.theorem},{row.fixture},{row.verdict}"
-            )
-        return "\n".join(lines) + "\n"
+        return render_csv(_field_names(RefutationRow), map(astuple, self.rows))
 
-    def to_json(self, stable: bool = True) -> str:
+    def to_json(self) -> str:
         payload = {
             "n": 4,
             "k": 3,
             "class": SequenceClass.ALL.value,
-            "rows": [
-                {
-                    "L": row.L,
-                    "census": row.census,
-                    "theorem": row.theorem,
-                    "fixture": row.fixture,
-                    "verdict": row.verdict,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
             "totals": {
                 "census": self.census_total,
                 "theorem": self.theorem_total,
@@ -452,8 +449,6 @@ class RefutationReport:
             },
             "mismatched_L": list(self.mismatched_L),
         }
-        if not stable:
-            payload["elapsed_seconds"] = self.elapsed
         return render_json(payload)
 
 

@@ -5,7 +5,8 @@ forms), census, verify, refute (distribution work).  Every subcommand
 renders as an aligned table, JSON, or CSV via --format.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
-finds a formula/census mismatch, 2 on invalid input.
+finds a formula/census mismatch, 2 on invalid input, 3 when a census
+worker process dies, 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 from . import census as census_mod
@@ -25,6 +28,7 @@ from .census import (
     SequenceClass,
     census_distribution,
     refutation_report,
+    render_csv,
     render_json,
     verify_formulas,
 )
@@ -62,7 +66,7 @@ def _add_input(parser):
 def _add_jobs(parser):
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="J",
-        help="worker processes (default: $LCFORGE_JOBS, else all cores)",
+        help="worker processes (default: all cores)",
     )
 
 
@@ -75,6 +79,7 @@ def _add_census_params(parser):
     )
 
 
+@cache  # built on the first call, then reused by every call in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcforge",
@@ -147,15 +152,6 @@ def _resolve_jobs(args) -> int:
         if args.jobs < 1:
             raise InvalidParams(f"--jobs must be at least 1, got {args.jobs}")
         return args.jobs
-    env = os.environ.get("LCFORGE_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise InvalidParams(f"LCFORGE_JOBS must be an integer, got {env!r}")
-        if jobs < 1:
-            raise InvalidParams(f"LCFORGE_JOBS must be at least 1, got {jobs}")
-        return jobs
     return os.cpu_count() or 1
 
 
@@ -164,17 +160,11 @@ def _emit_pairs(pairs, fmt: str) -> None:
     if fmt == "json":
         print(render_json(dict(pairs)))
     elif fmt == "csv":
-        print(",".join(str(key) for key, _ in pairs))
-        print(",".join(_csv_cell(value) for _, value in pairs))
+        keys, values = zip(*pairs)
+        print(render_csv(keys, [values]), end="")
     else:
         for key, value in pairs:
             print(f"{key} = {_table_cell(value)}")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return " ".join(str(v) for v in value)
-    return str(value)
 
 
 def _table_cell(value) -> str:
@@ -224,9 +214,7 @@ def _cmd_profile(args) -> int:
         }
         print(render_json(payload))
     elif args.format == "csv":
-        print("k,Lk")
-        for k, value in profile:
-            print(f"{k},{value}")
+        print(render_csv(("k", "Lk"), profile), end="")
     else:
         width = len(str(1 << args.n))
         print(f"{'k':>4}  {'L_k':>{width}}")
@@ -304,13 +292,13 @@ def _print_census_table(report) -> None:
     print(f"elapsed: {report.elapsed:.3f}s")
 
 
-def _emit_census_report(report, fmt: str) -> None:
+def _emit_report(report, fmt: str, print_table) -> None:
     if fmt == "json":
         print(report.to_json())
     elif fmt == "csv":
         print(report.to_csv(), end="")
     else:
-        _print_census_table(report)
+        print_table(report)
 
 
 def _cmd_census(args) -> int:
@@ -320,7 +308,7 @@ def _cmd_census(args) -> int:
         mode = Exhaustive()
     query = CensusQuery(args.n, args.k, SequenceClass(args.seq_class), mode)
     report = census_distribution(query, _resolve_jobs(args))
-    _emit_census_report(report, args.format)
+    _emit_report(report, args.format, _print_census_table)
     return 0
 
 
@@ -328,29 +316,28 @@ def _cmd_verify(args) -> int:
     report = verify_formulas(
         args.n, args.k, SequenceClass(args.seq_class), _resolve_jobs(args)
     )
-    _emit_census_report(report, args.format)
+    _emit_report(report, args.format, _print_census_table)
     return 0 if report.all_match else 1
+
+
+def _print_refutation_table(report) -> None:
+    print(f"{'L':>3} {'census':>8} {'theorem':>8} {'fixture':>8} verdict")
+    for row in report.rows:
+        print(
+            f"{row.L:>3} {row.census:>8} {row.theorem:>8}"
+            f" {row.fixture:>8} {row.verdict}"
+        )
+    print(
+        f"total: census {report.census_total}, theorem {report.theorem_total},"
+        f" fixture {report.fixture_total}"
+    )
+    print(f"fixture disagrees at L = {_table_cell(list(report.mismatched_L))}")
+    print(f"elapsed: {report.elapsed:.3f}s")
 
 
 def _cmd_refute(args) -> int:
     report = refutation_report(_resolve_jobs(args))
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print(report.to_csv(), end="")
-    else:
-        print(f"{'L':>3} {'census':>8} {'theorem':>8} {'fixture':>8} verdict")
-        for row in report.rows:
-            print(
-                f"{row.L:>3} {row.census:>8} {row.theorem:>8}"
-                f" {row.fixture:>8} {row.verdict}"
-            )
-        print(
-            f"total: census {report.census_total}, theorem {report.theorem_total},"
-            f" fixture {report.fixture_total}"
-        )
-        print(f"fixture disagrees at L = {_table_cell(list(report.mismatched_L))}")
-        print(f"elapsed: {report.elapsed:.3f}s")
+    _emit_report(report, args.format, _print_refutation_table)
     return 0
 
 
@@ -369,9 +356,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except LcforgeError as exc:
+    except (LcforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130

@@ -47,6 +47,11 @@ _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _check_exponent(exponent: int) -> None:
+    if not 0 <= exponent <= MAX_EXPONENT:
+        raise InvalidPeriod(f"exponent must be in [0, {MAX_EXPONENT}], got {exponent}")
+
+
 @dataclass(frozen=True)
 class PeriodicSequence:
     """One period of a 2^n-periodic binary sequence, packed LSB-first."""
@@ -55,10 +60,7 @@ class PeriodicSequence:
     value: int
 
     def __post_init__(self):
-        if not 0 <= self.exponent <= MAX_EXPONENT:
-            raise InvalidPeriod(
-                f"exponent must be in [0, {MAX_EXPONENT}], got {self.exponent}"
-            )
+        _check_exponent(self.exponent)
         if not 0 <= self.value < (1 << self.period):
             raise InvalidPeriod("packed value does not fit in one period")
 
@@ -124,32 +126,9 @@ class PeriodicSequence:
         return PeriodicSequence(self.exponent, self.value ^ other.value)
 
 
-def parse_sequence(text: str, exponent: int) -> PeriodicSequence:
-    """Parse one period from text, picking binary or hex by length.
-
-    A string of length 2^n is binary, one character per position with
-    position 0 first.  A string of length 2^n / 4 (so exponent >= 2) is
-    hex carrying the period most significant bit first: the top bit of
-    the first digit is position 0.  The two lengths never coincide, so
-    the choice is unambiguous.
-    """
-    if not 0 <= exponent <= MAX_EXPONENT:
-        raise InvalidPeriod(
-            f"exponent must be in [0, {MAX_EXPONENT}], got {exponent}"
-        )
-    period = 1 << exponent
-    if len(text) == period:
-        return parse_binary(text, exponent)
-    if exponent >= 2 and len(text) == period // 4:
-        return parse_hex(text, exponent)
-    expected = f"{period} binary"
-    if exponent >= 2:
-        expected += f" or {period // 4} hex"
-    raise InvalidPeriod(f"expected {expected} characters, got {len(text)}")
-
-
 def parse_binary(text: str, exponent: int) -> PeriodicSequence:
     """Parse one period from a 0/1 string, position 0 first."""
+    _check_exponent(exponent)
     period = 1 << exponent
     if len(text) != period:
         raise InvalidPeriod(f"expected {period} binary characters, got {len(text)}")
@@ -162,6 +141,7 @@ def parse_binary(text: str, exponent: int) -> PeriodicSequence:
 
 def parse_hex(text: str, exponent: int) -> PeriodicSequence:
     """Parse one period from hex digits, most significant bit first."""
+    _check_exponent(exponent)
     if exponent < 2:
         raise InvalidPeriod("hex input needs a period of at least 4 bits")
     period = 1 << exponent

@@ -14,12 +14,14 @@ writes uniquely as L = 2^n - 2^r + c with 2 <= r <= n and
 1 <= c <= 2^(r-1) - 1, and the shape of c inside that range decides the
 branch.  decompose_L exposes the decomposition.
 
-Counts come in parity-linked pairs: flipping one extra position moves a
-period across the parity classes, so on the even-weight class the 3-error
-count equals the 2-error count, and on the odd-weight class the 2-error
-count equals the 1-error count and the 4-error count equals the 3-error
-count.  The *_total functions cover both classes at once and are checked
-in tests to equal the sum of the per-class counts.
+Only the independent per-class formulas live here.  Counts come in
+parity-linked pairs: flipping one extra position moves a period across
+the parity classes, so on the even-weight class the 3-error count equals
+the 2-error count, and on the odd-weight class the 2-error count equals
+the 1-error count and the 4-error count equals the 3-error count.  Those
+pairs are rows of census._FORMULAS that name the formula they equal.
+The *_total functions cover both classes at once as the sum of the
+even-weight and the odd-weight count.
 
 kavuluru_table1 is different in kind: it reproduces a previously
 published 3-error distribution for period 16 verbatim, as a fixture.
@@ -113,15 +115,6 @@ def n1_lcfull(n: int, L: int) -> int:
     return 1 << (L + d.r - 1)
 
 
-def n2_lcfull(n: int, L: int) -> int:
-    """Odd-weight sequences counted by 2-error complexity.
-
-    One flip already makes the weight even; a second is never useful, so
-    this equals n1_lcfull.
-    """
-    return n1_lcfull(n, L)
-
-
 def n2_lcless(n: int, L: int) -> int:
     """Even-weight sequences counted by 2-error complexity."""
     d = decompose_L(n, L)
@@ -137,15 +130,6 @@ def n2_lcless(n: int, L: int) -> int:
     else:
         factor = base + (1 << (d.r - d.m)) - (1 << (d.r + d.m - 2))
     return (1 << (L - 1)) * factor
-
-
-def n3_lcless(n: int, L: int) -> int:
-    """Even-weight sequences counted by 3-error complexity.
-
-    An odd number of flips lands on odd weight and full complexity, so a
-    third flip is never useful and this equals n2_lcless.
-    """
-    return n2_lcless(n, L)
 
 
 def _pow2(e: int) -> Fraction:
@@ -201,54 +185,20 @@ def n3_lcfull(n: int, L: int) -> int:
     return (1 << (L - 1)) * g_term(d.r, d.m)
 
 
-def n4_lcfull(n: int, L: int) -> int:
-    """Odd-weight sequences counted by 4-error complexity.
-
-    Three flips already make the weight even; a fourth is never useful,
-    so this equals n3_lcfull.
-    """
-    return n3_lcfull(n, L)
-
-
 def n2_total(n: int, L: int) -> int:
-    """All sequences counted by 2-error complexity (both parity classes)."""
-    d = decompose_L(n, L)
-    if d.kind is LKind.ZERO:
-        return comb(1 << n, 2) + (1 << n) + 1
-    if d.kind is LKind.OTHERS:
-        return 0
-    base = comb(1 << d.r, 2) + (1 << d.r) + 1
-    if d.subcase is LSubcase.SMALL:
-        factor = base
-    elif d.subcase is LSubcase.POWER_GAP:
-        factor = base - 3 * (1 << (d.r + d.m - 3))
-    else:
-        factor = base + (1 << (d.r - d.m)) - (1 << (d.r + d.m - 2))
-    return (1 << (L - 1)) * factor
+    """All sequences counted by 2-error complexity (both parity classes).
+
+    The odd-weight count is n1_lcfull: a second flip is never useful there.
+    """
+    return n2_lcless(n, L) + n1_lcfull(n, L)
 
 
 def n3_total(n: int, L: int) -> int:
-    """All sequences counted by 3-error complexity (both parity classes)."""
-    d = decompose_L(n, L)
-    if d.kind is LKind.ZERO:
-        return comb(1 << n, 3) + comb(1 << n, 2) + (1 << n) + 1
-    if d.kind is LKind.OTHERS:
-        return 0
-    if d.subcase is LSubcase.SMALL:
-        factor = comb(1 << d.r, 3) + comb(1 << d.r, 2) + (1 << d.r) + 1
-    elif d.subcase is LSubcase.POWER_GAP:
-        factor = comb(1 << d.r, 2) + 1 - 3 * (1 << (d.r + d.m - 3))
-        if d.r > 3:
-            factor += f_term(d.r, d.m)
-    else:
-        factor = (
-            comb(1 << d.r, 2)
-            + 1
-            + (1 << (d.r - d.m))
-            - (1 << (d.r + d.m - 2))
-            + g_term(d.r, d.m)
-        )
-    return (1 << (L - 1)) * factor
+    """All sequences counted by 3-error complexity (both parity classes).
+
+    The even-weight count is n2_lcless: a third flip is never useful there.
+    """
+    return n2_lcless(n, L) + n3_lcfull(n, L)
 
 
 # Previously published 3-error distribution for period 16 (both classes),

@@ -14,6 +14,8 @@ from lcforge.census import (
     Exhaustive,
     SequenceClass,
     census_distribution,
+    class_size,
+    closed_form,
     refutation_report,
     verify_formulas,
 )
@@ -24,17 +26,6 @@ from lcforge.core import (
     lc_by_minimal_polynomial,
     lc_pair,
     lc_quad,
-)
-from lcforge.counting import (
-    n1_lcfull,
-    n2_lcfull,
-    n2_lcless,
-    n2_total,
-    n3_lcfull,
-    n3_lcless,
-    n3_total,
-    n4_lcfull,
-    rueppel_count,
 )
 from lcforge.errors import LemmaPreconditionViolated
 from lcforge.kerror import k_error_profile, k_min_formula, k_min_search
@@ -153,17 +144,20 @@ def test_criterion_7_parity_identities_and_first_drop():
 
 def test_criterion_8_counting_totals_and_additivity():
     with criterion(8, "counting functions total the class sizes and add up"):
-        complete = (rueppel_count, n2_total, n3_total)
-        per_class = (n1_lcfull, n2_lcfull, n2_lcless, n3_lcfull, n3_lcless, n4_lcfull)
+        served = (
+            (0, ALL), (1, FULL), (2, LESS), (2, FULL), (2, ALL),
+            (3, LESS), (3, FULL), (3, ALL), (4, FULL),
+        )
         for n in range(2, 7):
             period = 1 << n
-            for fn in complete:
-                assert sum(fn(n, L) for L in range(period + 1)) == 1 << period
-            for fn in per_class:
-                assert sum(fn(n, L) for L in range(period + 1)) == 1 << (period - 1)
+            for k, seq_class in served:
+                fn = closed_form(k, seq_class)
+                total = sum(fn(n, L) for L in range(period + 1))
+                assert total == class_size(n, seq_class), (n, k, seq_class)
             for L in range(period + 1):
-                assert n2_total(n, L) == n2_lcless(n, L) + n2_lcfull(n, L)
-                assert n3_total(n, L) == n3_lcless(n, L) + n3_lcfull(n, L)
+                for k in (2, 3):
+                    less, full = closed_form(k, LESS), closed_form(k, FULL)
+                    assert closed_form(k, ALL)(n, L) == less(n, L) + full(n, L)
 
 
 def test_criterion_9_census_is_worker_count_invariant():

@@ -20,6 +20,7 @@ from lcforge.census import (
     interval_covers,
     proportion_interval,
     refutation_report,
+    render_csv,
     render_json,
     verify_formulas,
 )
@@ -336,10 +337,17 @@ class TestSerialisation:
             text = report.to_json()
             assert render_json(json.loads(text)) == text
 
+    def test_csv_cells(self):
+        # None is empty, a list joins its items with spaces, the rest is str
+        text = render_csv(("a", "b", "c"), [(None, [1, 20], "x"), (0, [], 5)])
+        assert text == "a,b,c\n,1 20,x\n0,,5\n"
+        assert render_csv(("k", "Lk"), []) == "k,Lk\n"
+
     def test_stable_json_excludes_timing(self):
         report = exhaustive(2, 1, ALL)
         assert "elapsed_seconds" not in json.loads(report.to_json())
-        assert "elapsed_seconds" in json.loads(report.to_json(stable=False))
+        report.elapsed = 123.0
+        assert report.to_json() == exhaustive(2, 1, ALL).to_json()
 
     def test_sampled_json_carries_intervals_and_mode(self):
         report = census_distribution(CensusQuery(4, 2, ALL, Sampled(128, seed=4)))
@@ -380,4 +388,4 @@ class TestRefutation:
         assert render_json(json.loads(text)) == text
         payload = json.loads(text)
         assert payload["mismatched_L"] == [4, 5, 6, 7, 10, 11]
-        assert "elapsed_seconds" in json.loads(report.to_json(stable=False))
+        assert "elapsed" not in text

@@ -3,11 +3,14 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 import lcforge
+from lcforge import census, cli
 from lcforge.census import render_json
 from lcforge.cli import main
 from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
@@ -27,6 +30,27 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+# stdout and exit code of every subcommand in every format, pinned so that
+# a refactor of the formulas or renderers keeps them byte for byte; edit a
+# case only with a deliberate change of output
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+def _mask_elapsed(text: str) -> str:
+    return "".join(
+        "elapsed: <masked>\n" if line.startswith("elapsed:") else line
+        for line in text.splitlines(keepends=True)
+    )
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[" ".join(case["argv"]) for case in GOLDEN]
+)
+def test_golden_bytes(capsys, case):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, _mask_elapsed(out)) == (case["code"], case["stdout"])
 
 
 class TestLc:
@@ -84,6 +108,20 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, "lc", "--n", "2", "--file", str(tmp_path / "no"))
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n", ["-1", "100000"])
+    @pytest.mark.parametrize("source", ["--bits", "--hex", "--file"])
+    def test_n_out_of_range(self, capsys, tmp_path, source, n):
+        text = "0110"
+        if source == "--file":
+            path = tmp_path / "bits.txt"
+            path.write_text(text)
+            text = str(path)
+        for command in (["lc"], ["kerr", "--k", "1"], ["profile", "--kmax", "1"]):
+            code, out, err = run_cli(capsys, *command, "--n", n, source, text)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: exponent must be in [0, 20], got {n}\n"
 
     def test_bad_class_choice_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -304,29 +342,33 @@ class TestCensus:
         assert err.startswith("error:")
 
     def test_jobs_flag_and_env(self, capsys, monkeypatch):
-        monkeypatch.delenv("LCFORGE_JOBS", raising=False)
         code, solo, _ = run_cli(
             capsys, "census", "--n", "3", "--k", "2", "--jobs", "1",
             "--format", "csv",
         )
         assert code == 0
-        monkeypatch.setenv("LCFORGE_JOBS", "2")
         code, duo, _ = run_cli(
-            capsys, "census", "--n", "3", "--k", "2", "--format", "csv"
+            capsys, "census", "--n", "3", "--k", "2", "--jobs", "2",
+            "--format", "csv",
         )
         assert code == 0
         assert solo == duo
-
-    def test_bad_jobs_values(self, capsys, monkeypatch):
-        code, _, err = run_cli(
-            capsys, "census", "--n", "2", "--k", "0", "--jobs", "0"
-        )
-        assert code == 2
-        assert err.startswith("error:")
+        # the worker count comes from --jobs or the core count, never the
+        # environment
         monkeypatch.setenv("LCFORGE_JOBS", "banana")
-        code, _, err = run_cli(capsys, "census", "--n", "2", "--k", "0")
-        assert code == 2
-        assert err.startswith("error:")
+        code, default, _ = run_cli(
+            capsys, "census", "--n", "3", "--k", "2", "--format", "csv"
+        )
+        assert code == 0
+        assert default == solo
+
+    def test_bad_jobs_values(self, capsys):
+        for jobs in ("0", "-3"):
+            code, _, err = run_cli(
+                capsys, "census", "--n", "2", "--k", "0", "--jobs", jobs
+            )
+            assert code == 2
+            assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
 class TestVerify:
@@ -393,7 +435,98 @@ class TestRefute:
         assert len(lines) == 17
 
 
+class DeadPool:
+    """A ProcessPoolExecutor stand-in whose every future reports a dead worker."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_exception(BrokenProcessPool("a worker was terminated abruptly"))
+        return future
+
+
+class TestExitCodes:
+    def test_dead_worker_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(census, "_SHARD_ROWS", 16)
+        monkeypatch.setattr(census, "ProcessPoolExecutor", DeadPool)
+        for argv in (
+            ["census", "--n", "4", "--k", "2", "--jobs", "2"],
+            ["verify", "--n", "4", "--k", "3", "--jobs", "2"],
+            ["refute", "--jobs", "2"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error: a worker process died")
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "lc", interrupted)
+        code, out, err = run_cli(capsys, "lc", "--n", "2", "--bits", "1000")
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParser:
+    ARGVS = (
+        ["lc", "--n", "3", "--bits", "11010000"],
+        ["kerr", "--n", "3", "--bits", "11010000", "--k", "2", "--format", "json"],
+        ["census", "--n", "3", "--k", "2", "--class", "less", "--format", "csv"],
+        ["census", "--n", "3", "--k", "2", "--class", "bogus"],
+        ["count", "--n", "4", "--k", "3", "--class", "all", "--L", "5"],
+        ["lc", "--n", "2", "--hex", "6", "--format", "csv"],
+    )
+
+    def test_built_once_and_reused_between_calls(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            fresh.append(_outcome(capsys, argv))
+        assert fresh[3][0] == 2 and "invalid choice" in fresh[3][2]
+        cli._build_parser.cache_clear()
+        reused = [_outcome(capsys, argv) for argv in self.ARGVS]
+        assert reused == fresh
+        assert cli._build_parser.cache_info().misses == 1
+
+
 class TestEntryPoint:
+    def test_public_names_are_pinned(self):
+        assert sorted(lcforge.__all__) == [
+            "CensusQuery", "CensusReport", "CensusRow", "ErrorPattern",
+            "Exhaustive", "KErrorResult", "LDecomposition", "LKind", "LSubcase",
+            "MAX_EXPONENT", "PeriodicSequence", "RefutationReport",
+            "RefutationRow", "Sampled", "SequenceClass", "census_distribution",
+            "class_size", "decompose_L", "f_term", "formula_counts", "g_term",
+            "games_chan_lc", "halve", "interval_covers", "k_error_lc",
+            "k_error_profile", "k_min_formula", "k_min_search",
+            "kavuluru_table1", "lc_by_minimal_polynomial", "lc_pair", "lc_quad",
+            "lc_table", "n1_lcfull", "n2_lcless", "n2_total", "n3_lcfull",
+            "n3_total", "parse_binary", "parse_hex", "proportion_interval",
+            "refutation_report", "rueppel_count", "verify_formulas",
+        ]
+        for name in lcforge.__all__:
+            assert getattr(lcforge, name) is not None, name
+
+
     def test_module_invocation(self):
         # the child imports the same lcforge as this test, installed or not
         src = str(Path(lcforge.__file__).resolve().parent.parent)

@@ -14,7 +14,6 @@ from lcforge.core import (
     lc_table,
     parse_binary,
     parse_hex,
-    parse_sequence,
 )
 from lcforge.errors import (
     CannotHalve,
@@ -86,30 +85,23 @@ class TestPeriodicSequence:
 
 class TestParse:
     def test_binary_positions(self):
-        s = parse_sequence("1100000000000000", 4)
+        s = parse_binary("1100000000000000", 4)
         assert s.support() == (0, 1)
 
     def test_hex_is_msb_first(self):
-        assert parse_sequence("C000", 4).support() == (0, 1)
+        assert parse_hex("C000", 4).support() == (0, 1)
         assert parse_hex("8000", 4).support() == (0,)
         assert parse_hex("0001", 4).support() == (15,)
 
     def test_binary_and_hex_agree(self):
-        assert parse_sequence("C000", 4) == parse_sequence("1100000000000000", 4)
-
-    def test_length_dispatch_is_unambiguous(self):
-        # length 2^n selects binary, length 2^n/4 selects hex, anything
-        # else is rejected
-        assert parse_sequence("0110", 2).support() == (1, 2)
-        assert parse_sequence("6", 2).support() == (1, 2)
-        with pytest.raises(InvalidPeriod):
-            parse_sequence("01", 2)
+        assert parse_hex("C000", 4) == parse_binary("1100000000000000", 4)
+        assert parse_hex("6", 2) == parse_binary("0110", 2)
 
     def test_bad_digits(self):
         with pytest.raises(InvalidDigit):
-            parse_sequence("0120", 2)
+            parse_binary("0120", 2)
         with pytest.raises(InvalidDigit):
-            parse_sequence("0g10", 4)
+            parse_hex("0g10", 4)
         with pytest.raises(InvalidDigit):
             parse_hex(" 1", 3)  # whitespace is the caller's problem
         with pytest.raises(InvalidDigit):
@@ -129,10 +121,11 @@ class TestParse:
             parse_binary("111", 2)
 
     def test_exponent_out_of_range(self):
-        with pytest.raises(InvalidPeriod):
-            parse_sequence("01", 21)
-        with pytest.raises(InvalidPeriod):
-            parse_sequence("01", -1)
+        # checked before anything else, so 2^exponent is never computed
+        for parse in (parse_binary, parse_hex):
+            for exponent in (21, -1, 100_000):
+                with pytest.raises(InvalidPeriod, match=r"^exponent must be in \[0, 20\]"):
+                    parse("01", exponent)
 
 
 class TestAddAndHalve:

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from lcforge.census import SequenceClass, closed_form
 from lcforge.counting import (
     LKind,
     LSubcase,
@@ -10,18 +11,23 @@ from lcforge.counting import (
     g_term,
     kavuluru_table1,
     n1_lcfull,
-    n2_lcfull,
     n2_lcless,
     n2_total,
     n3_lcfull,
-    n3_lcless,
     n3_total,
-    n4_lcfull,
     rueppel_count,
 )
 from lcforge.errors import InvalidL, InvalidParams
 
-PER_CLASS = (n1_lcfull, n2_lcfull, n2_lcless, n3_lcfull, n3_lcless, n4_lcfull)
+ALL = SequenceClass.ALL
+FULL = SequenceClass.FULL_LC
+LESS = SequenceClass.LESS_LC
+
+# the count function of every per-class row of the closed-form table
+PER_CLASS = tuple(
+    closed_form(k, seq_class)
+    for k, seq_class in ((1, FULL), (2, FULL), (2, LESS), (3, FULL), (3, LESS), (4, FULL))
+)
 COMPLETE = (rueppel_count, n2_total, n3_total)
 
 
@@ -103,13 +109,13 @@ class TestSingleFamilies:
     def test_n3_equals_n2_on_even_class(self):
         for n in range(7):
             for L in range((1 << n) + 1):
-                assert n3_lcless(n, L) == n2_lcless(n, L)
+                assert closed_form(3, LESS)(n, L) == closed_form(2, LESS)(n, L)
 
     def test_parity_identities_on_odd_class(self):
         for n in range(7):
             for L in range((1 << n) + 1):
-                assert n2_lcfull(n, L) == n1_lcfull(n, L)
-                assert n4_lcfull(n, L) == n3_lcfull(n, L)
+                assert closed_form(2, FULL)(n, L) == closed_form(1, FULL)(n, L)
+                assert closed_form(4, FULL)(n, L) == closed_form(3, FULL)(n, L)
 
     def test_n3_lcfull_vector_n4(self):
         expected = (576, 576, 1152, 2304, 2048, 6656, 2048, 1024,
@@ -126,10 +132,28 @@ class TestSingleFamilies:
         assert n2_total(4, 13) == 20480
         assert n2_total(4, 8) == 0
 
+    def test_n2_total_vector_n5(self):
+        expected = (
+            529, 529, 1058, 2116, 4232, 8464, 16928, 33856,
+            61568, 129280, 258560, 517120, 886784, 1921024, 2760704, 2375680,
+            0, 8978432, 17956864, 35913728, 59244544, 131072000, 186646528, 171966464,
+            0, 620756992, 838860800, 872415232, 0, 1342177280, 0, 0, 0,
+        )
+        assert tuple(n2_total(5, L) for L in range(33)) == expected
+
     def test_n3_total_vector_n4(self):
         expected = (697, 697, 1394, 2788, 2824, 8400, 4384, 2624,
                     0, 23808, 8704, 5120, 0, 4096, 0, 0, 0)
         assert tuple(n3_total(4, L) for L in range(17)) == expected
+
+    def test_n3_total_vector_n5(self):
+        expected = (
+            5489, 5489, 10978, 21956, 43912, 87824, 175648, 351296,
+            516224, 1218816, 2437632, 4875264, 5801984, 15552512, 9052160, 5521408,
+            0, 45678592, 91357184, 182714368, 185073664, 550502400, 287309824, 171966464,
+            0, 1560281088, 570425344, 335544320, 0, 268435456, 0, 0, 0,
+        )
+        assert tuple(n3_total(5, L) for L in range(33)) == expected
 
     def test_n3_total_vector_n3(self):
         assert tuple(n3_total(3, L) for L in range(9)) == (93, 93, 34, 20, 0, 16, 0, 0, 0)
@@ -195,10 +219,12 @@ class TestGlobalIdentities:
                 assert sum(fn(n, L) for L in range(N + 1)) == 1 << (N - 1), fn.__name__
 
     def test_class_additivity(self):
+        # the table's rows for both classes add up to its row for all
         for n in range(2, 7):
             for L in range((1 << n) + 1):
-                assert n2_total(n, L) == n2_lcless(n, L) + n2_lcfull(n, L)
-                assert n3_total(n, L) == n3_lcless(n, L) + n3_lcfull(n, L)
+                for k in (2, 3):
+                    less, full = closed_form(k, LESS), closed_form(k, FULL)
+                    assert closed_form(k, ALL)(n, L) == less(n, L) + full(n, L)
 
     def test_non_negative_everywhere(self):
         for n in range(9):
