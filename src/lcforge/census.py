@@ -1,22 +1,24 @@
 """Exhaustive and sampled censuses of k-error complexity distributions.
 
 A census tallies, for every complexity value L, how many sequences of
-period 2^n have k-error linear complexity exactly L — either over all
-sequences or restricted to one weight-parity class.  Exhaustive censuses
-(n <= 4) score one period per cyclic-shift orbit of the class and weight
-it by the orbit's size: L and L_k do not change under a cyclic shift
-(x is a unit modulo x^N - 1, and a shifted error pattern gives the
-shifted result).  Sampled censuses (n <= 5) draw values from a
-counter-based hash stream so the same (seed, count) always yields the
-same draws regardless of how the work is sharded.
+period N = 2^n have k-error linear complexity exactly L — either over
+all sequences or restricted to one weight-parity class; n <= 5.
 
-Work is split into contiguous shards of the rows (orbits or draws) and
-merged by componentwise addition, so results are identical for any
-worker count.  A census with fewer than two shards' worth of rows runs
-in the calling process; larger ones use at most `jobs` workers and no
-more than the machine's cores.  Each shard is scored by the k-error
-kernel of lcforge.kerror, unit priced with budget k, over blocks of rows
-at once, so the cost of a census does not depend on k.
+Exhaustive censuses score no sequence.  L(s) is N minus the multiplicity
+of (1+x) in s(x), so the periods with L <= c are the 2^c multiples of
+(1+x)^(N-c), and L_k(s) <= c holds exactly when some error pattern of
+weight <= k is congruent to s modulo (1+x)^(N-c).  The census counts the
+residues that light patterns reach, for every c at once, in the calling
+process.
+
+Sampled censuses draw values from a counter-based hash stream so the
+same (seed, count) always yields the same draws regardless of how the
+work is sharded.  Draws are split into contiguous shards and merged by
+componentwise addition, so results are identical for any worker count.
+A census with fewer than two shards' worth of draws runs in the calling
+process; larger ones use at most `jobs` workers and no more than the
+machine's cores.  Each shard is scored by the k-error kernel of
+lcforge.kerror, unit priced with budget k, over blocks of draws at once.
 
 verify_formulas joins a census with the closed forms from
 lcforge.counting, and refutation_report reruns the period-16 3-error
@@ -32,7 +34,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from hashlib import blake2b
 from math import sqrt
 from time import perf_counter
@@ -44,7 +45,6 @@ from .errors import InvalidParams, NoFormulaAvailable, TooLarge
 from .kerror import _stamp_martin
 
 MAX_CENSUS_EXPONENT = 5
-MAX_EXHAUSTIVE_EXPONENT = 4
 MAX_ERRORS = 4
 
 # rows per kernel call in a census: keeps a worker's temporaries near 1 MiB
@@ -64,7 +64,7 @@ class SequenceClass(Enum):
 
 @dataclass(frozen=True)
 class Exhaustive:
-    """Walk every sequence of the class; allowed for n <= 4."""
+    """Count every sequence of the class exactly."""
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,7 @@ class CensusQuery:
             )
         if not 0 <= self.k <= min(MAX_ERRORS, 1 << self.n):
             raise InvalidParams(f"census supports k <= {MAX_ERRORS}, got {self.k}")
-        if isinstance(self.mode, Exhaustive):
-            if self.n > MAX_EXHAUSTIVE_EXPONENT:
-                raise TooLarge(
-                    f"exhaustive census supports n <= {MAX_EXHAUSTIVE_EXPONENT},"
-                    f" got {self.n}"
-                )
-        else:
+        if isinstance(self.mode, Sampled):
             if self.mode.count < 1:
                 raise InvalidParams("sample count must be at least 1")
             if not 0 <= self.mode.seed < 1 << 64:
@@ -204,14 +198,11 @@ def render_csv(header, rows) -> str:
 # tallying
 
 
-def _tally_minima(
-    values: np.ndarray, weights: np.ndarray, n: int, k: int
-) -> np.ndarray:
+def _tally_minima(values: np.ndarray, n: int, k: int) -> np.ndarray:
     """Per-L tally of the exact k-error complexity of each packed value.
 
-    Value i counts `weights[i]` times.  Values go through the
-    Stamp-Martin kernel with unit prices and budget k, _BLOCK_ROWS of
-    them per call.
+    Values go through the Stamp-Martin kernel with unit prices and
+    budget k, _BLOCK_ROWS of them per call.
     """
     period = 1 << n
     tally = np.zeros(period + 1, dtype=np.int64)
@@ -222,47 +213,53 @@ def _tally_minima(
         bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :period]
         unit = np.broadcast_to(np.int64(1), bits.shape)
         lc, _ = _stamp_martin(bits.view(bool), unit, k)
-        np.add.at(tally, lc, weights[start : start + _BLOCK_ROWS])
+        tally += np.bincount(lc.ravel(), minlength=period + 1)
     return tally
 
 
 _CLASS_PARITY = {SequenceClass.FULL_LC: 1, SequenceClass.LESS_LC: 0}
 
 
-@lru_cache(maxsize=None)  # one entry per (n <= 4, class): 15 at most
-def _orbits(n: int, seq_class: SequenceClass) -> tuple[np.ndarray, np.ndarray]:
-    """Least member of each cyclic-shift orbit of the class, and its size.
+def _coset_tally(n: int, k: int, seq_class: SequenceClass) -> list[int]:
+    """Exact per-L census of the class, counted by cosets of (1+x)^m.
 
-    Periods are packed in uint16 (bit i is position i), which holds every
-    period up to n = 4.  An orbit's size is the period divided by the
-    number of shifts that fix its members.  The arrays are read-only.
+    Write a pattern e as the sum of a_j (1+x)^j; by Lucas' theorem a_j is
+    the XOR of e_i over every i whose bits contain j's bits, and e mod
+    (1+x)^m is fixed by a_0..a_(m-1).  With a_j packed at bit N-1-j, the
+    number D(m) of distinct residues mod (1+x)^m is one more than the
+    number of adjacent sorted words that differ in their top m bits.
+    #{L_k <= c} is then 2^c * D(N-c) for c < N.  Every multiple of (1+x)
+    has even weight, so the full class counts odd-weight patterns only
+    and the less class even-weight ones.
     """
     period = 1 << n
-    values = np.arange(1 << period, dtype=np.uint16)
-    if seq_class is not SequenceClass.ALL:
-        values = values[(np.bitwise_count(values) & 1) == _CLASS_PARITY[seq_class]]
-    least = values.copy()
-    turned = values.copy()
-    spill = np.empty_like(values)
-    fixed = np.ones(len(values), dtype=np.uint8)
-    for _ in range(period - 1):
-        # turned = turned shifted cyclically by one more position
-        np.right_shift(turned, period - 1, out=spill)
-        np.left_shift(turned, 1, out=turned)
-        turned |= spill
-        turned &= (1 << period) - 1
-        np.minimum(least, turned, out=least)
-        fixed += turned == values
-    first = least == values
-    members, sizes = values[first], period // fixed[first].astype(np.int64)
-    members.flags.writeable = sizes.flags.writeable = False
-    return members, sizes
-
-
-def _exhaustive_shard(n: int, k: int, class_value: str, lo: int, hi: int) -> list[int]:
-    """Tally for orbits [lo, hi) of the class; module-level so workers can run it."""
-    members, sizes = _orbits(n, SequenceClass(class_value))
-    return _tally_minima(members[lo:hi], sizes[lo:hi], n, k).tolist()
+    parity = _CLASS_PARITY.get(seq_class)
+    layer = np.zeros(1, dtype=np.uint64)  # the patterns of one weight
+    patterns = [layer] if parity != 1 else []
+    for weight in range(1, k + 1):
+        layer = np.concatenate(
+            [layer[layer < 1 << i] | np.uint64(1 << i) for i in range(period)]
+        )
+        if parity is None or weight & 1 == parity:
+            patterns.append(layer)
+    if not patterns:  # the full class with k = 0
+        return [0] * period + [class_size(n, seq_class)]
+    # Each weight's patterns are closed under the reflection i -> N-1-i,
+    # and on a reflected pattern the subset-XOR transform puts a_j at bit
+    # N-1-j directly.
+    words = np.concatenate(patterns)
+    for b in range(n):
+        step = 1 << b
+        upper = sum(1 << j for j in range(period) if j & step)
+        words ^= (words << np.uint64(step)) & np.uint64(upper)
+    words.sort()
+    # bit length of each adjacent XOR, 0 for a repeated word; frexp is
+    # exact below 2^53 (n <= 5)
+    _, lengths = np.frexp(words[1:] ^ words[:-1])
+    longer = np.bincount(lengths, minlength=period + 1)[::-1].cumsum()[::-1]
+    at_most = [(1 << c) * (1 + int(longer[c + 1])) for c in range(period)]
+    at_most.append(class_size(n, seq_class))
+    return [at_most[0]] + [b - a for a, b in zip(at_most, at_most[1:])]
 
 
 def _draws(seed: int, lo: int, hi: int, n: int, seq_class: SequenceClass) -> np.ndarray:
@@ -293,7 +290,7 @@ def _sampled_shard(
     n: int, k: int, class_value: str, seed: int, lo: int, hi: int
 ) -> list[int]:
     values = _draws(seed, lo, hi, n, SequenceClass(class_value))
-    return _tally_minima(values, np.broadcast_to(1, values.shape), n, k).tolist()
+    return _tally_minima(values, n, k).tolist()
 
 
 def _shard_bounds(rows: int, jobs: int) -> list[tuple[int, int]]:
@@ -314,18 +311,19 @@ def _run_shards(worker, common_args: tuple, rows: int, jobs: int) -> list[int]:
 
 
 def census_distribution(query: CensusQuery, jobs: int = 1) -> CensusReport:
-    """Run the census described by `query`, optionally across `jobs` workers."""
+    """Run the census described by `query`.
+
+    A sampled census may use up to `jobs` workers; an exhaustive one runs
+    in the calling process whatever `jobs` says.
+    """
     if jobs < 1:
         raise InvalidParams(f"jobs must be at least 1, got {jobs}")
     start = perf_counter()
-    args = (query.n, query.k, query.seq_class.value)
     if isinstance(query.mode, Exhaustive):
-        orbits = len(_orbits(query.n, query.seq_class)[0])
-        counts = _run_shards(_exhaustive_shard, args, orbits, jobs)
+        counts = _coset_tally(query.n, query.k, query.seq_class)
     else:
-        counts = _run_shards(
-            _sampled_shard, args + (query.mode.seed,), query.mode.count, jobs
-        )
+        args = (query.n, query.k, query.seq_class.value, query.mode.seed)
+        counts = _run_shards(_sampled_shard, args, query.mode.count, jobs)
     rows = [CensusRow(L, count) for L, count in enumerate(counts)]
     return CensusReport(
         query.n, query.k, query.seq_class, query.mode, rows,
@@ -375,13 +373,10 @@ def formula_counts(n: int, k: int, seq_class: SequenceClass) -> list[int]:
     return [formula(n, L) for L in range((1 << n) + 1)]
 
 
-def verify_formulas(
-    n: int, k: int, seq_class: SequenceClass, jobs: int = 1
-) -> CensusReport:
+def verify_formulas(n: int, k: int, seq_class: SequenceClass) -> CensusReport:
     """Exhaustively census (n, k, class) and join each row with its closed form."""
     expected = formula_counts(n, k, seq_class)
-    query = CensusQuery(n, k, seq_class, Exhaustive())
-    report = census_distribution(query, jobs)
+    report = census_distribution(CensusQuery(n, k, seq_class, Exhaustive()))
     rows = [
         CensusRow(
             row.L,
@@ -452,15 +447,14 @@ class RefutationReport:
         return render_json(payload)
 
 
-def refutation_report(jobs: int = 1) -> RefutationReport:
+def refutation_report() -> RefutationReport:
     """Census period 16 at k = 3 and compare against formula and publication.
 
     The published table gets one row per L in [0, 15]; the exhaustive
     census puts no sequence at L = 16 for k = 3 (one flip already breaks
     full complexity), so those rows carry the whole distribution.
     """
-    query = CensusQuery(4, 3, SequenceClass.ALL, Exhaustive())
-    report = census_distribution(query, jobs)
+    report = census_distribution(CensusQuery(4, 3, SequenceClass.ALL, Exhaustive()))
     rows = []
     for L in range(16):
         census = report.rows[L].census

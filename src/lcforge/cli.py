@@ -5,8 +5,8 @@ forms), census, verify, refute (distribution work).  Every subcommand
 renders as an aligned table, JSON, or CSV via --format.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
-finds a formula/census mismatch, 2 on invalid input, 3 when a census
-worker process dies, 130 on Ctrl-C.
+finds a formula/census mismatch, 2 on invalid input, 3 when a worker
+process of a sampled census dies, 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from functools import cache
-from pathlib import Path
 
 from . import census as census_mod
 from . import core, kerror
@@ -59,15 +58,19 @@ def _add_input(parser):
     )
     group.add_argument(
         "--file", metavar="PATH",
-        help="file holding the 0/1 string (whitespace ignored)",
+        help="file holding the 0/1 string (whitespace ignored, 4*2^N bytes at most)",
     )
 
 
-def _add_jobs(parser):
+def _add_jobs(parser, help):
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="J",
-        help="worker processes (default: all cores)",
+        "--jobs", type=int, default=None, metavar="J", help=help
     )
+
+
+# verify and refute take --jobs so that scripts may pass it to every
+# distribution command, but their exhaustive censuses start no worker
+_IN_PROCESS_JOBS = "accepted and checked; this census runs in-process"
 
 
 def _add_census_params(parser):
@@ -120,19 +123,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, metavar="SEED",
         help="stream seed for --mode sampled (default 0)",
     )
-    _add_jobs(p)
+    _add_jobs(p, "worker processes for --mode sampled (default: all cores)")
     _add_format(p)
 
     p = sub.add_parser("verify", help="census vs closed form for every L")
     _add_census_params(p)
-    _add_jobs(p)
+    _add_jobs(p, _IN_PROCESS_JOBS)
     _add_format(p)
 
     p = sub.add_parser(
         "refute",
         help="period-16 3-error census vs closed form vs the published table",
     )
-    _add_jobs(p)
+    _add_jobs(p, _IN_PROCESS_JOBS)
     _add_format(p)
 
     return parser
@@ -143,7 +146,16 @@ def _load_sequence(args) -> core.PeriodicSequence:
         return core.parse_binary(args.bits, args.n)
     if args.hex_digits is not None:
         return core.parse_hex(args.hex_digits, args.n)
-    text = "".join(Path(args.file).read_text().split())
+    # checked before the file is opened, so the read below stays bounded
+    core._check_exponent(args.n)
+    limit = 4 << args.n
+    with open(args.file, "rb") as handle:
+        data = handle.read(limit + 1)
+    if len(data) > limit:
+        raise InvalidParams(
+            f"--file is longer than {limit} bytes, the limit at n = {args.n}"
+        )
+    text = "".join(data.decode("utf-8", errors="replace").split())
     return core.parse_binary(text, args.n)
 
 
@@ -313,9 +325,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_formulas(
-        args.n, args.k, SequenceClass(args.seq_class), _resolve_jobs(args)
-    )
+    _resolve_jobs(args)  # checked, then unused: see _IN_PROCESS_JOBS
+    report = verify_formulas(args.n, args.k, SequenceClass(args.seq_class))
     _emit_report(report, args.format, _print_census_table)
     return 0 if report.all_match else 1
 
@@ -336,7 +347,8 @@ def _print_refutation_table(report) -> None:
 
 
 def _cmd_refute(args) -> int:
-    report = refutation_report(_resolve_jobs(args))
+    _resolve_jobs(args)  # checked, then unused: see _IN_PROCESS_JOBS
+    report = refutation_report()
     _emit_report(report, args.format, _print_refutation_table)
     return 0
 

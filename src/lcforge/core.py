@@ -17,26 +17,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from typing import Iterable
 
 from .errors import (
-    CannotHalve,
     InvalidDigit,
     InvalidPeriod,
     InvalidSupport,
     LemmaPreconditionViolated,
     PeriodMismatch,
-    TooLarge,
 )
 
 # One period is 2^MAX_EXPONENT bits at most; beyond this, single-sequence
 # operations stop being interactive.
 MAX_EXPONENT = 20
-
-# Full per-value lookup tables stop at 2^16 entries.
-TABLE_MAX_EXPONENT = 4
 
 _NOT_BINARY = re.compile("[^01]")
 _NOT_HEX = re.compile("[^0-9a-fA-F]")
@@ -157,15 +151,6 @@ def parse_hex(text: str, exponent: int) -> PeriodicSequence:
     return PeriodicSequence(exponent, int(msb_first[::-1], 2))
 
 
-def halve(s: PeriodicSequence) -> PeriodicSequence:
-    """Fold one period onto its half: position i becomes left[i] XOR right[i]."""
-    if s.exponent == 0:
-        raise CannotHalve("period 1 has no halves to fold")
-    half = 1 << (s.exponent - 1)
-    mask = (1 << half) - 1
-    return PeriodicSequence(s.exponent - 1, (s.value & mask) ^ (s.value >> half))
-
-
 def _lc_value(value: int, exponent: int) -> int:
     """Linear complexity of a packed period value by iterative halving."""
     lc = 0
@@ -272,29 +257,3 @@ def lc_quad(i: int, j: int, k: int, l: int, exponent: int) -> int:
     if d == e:
         return period - ((1 << d) + 1)
     return period - (1 << min(d, e))
-
-
-@lru_cache(maxsize=None)
-def lc_table(exponent: int) -> bytes:
-    """Linear complexity of every packed period value, as a byte table.
-
-    Entry v is the complexity of PeriodicSequence(exponent, v).  Built
-    level by level with the same halving recurrence as games_chan_lc.
-    Capped at exponent 4 (65 536 one-byte entries).
-    """
-    if not 0 <= exponent <= TABLE_MAX_EXPONENT:
-        raise TooLarge(
-            f"lookup table supports exponent <= {TABLE_MAX_EXPONENT}, got {exponent}"
-        )
-    table = bytes((0, 1))
-    for t in range(1, exponent + 1):
-        half = 1 << (t - 1)
-        mask = (1 << half) - 1
-        prev = table
-        out = bytearray(1 << (1 << t))
-        for v in range(len(out)):
-            left = v & mask
-            right = v >> half
-            out[v] = prev[left] if left == right else half + prev[left ^ right]
-        table = bytes(out)
-    return table

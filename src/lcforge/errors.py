@@ -22,10 +22,6 @@ class PeriodMismatch(LcforgeError):
     """Two sequences with different periods were combined."""
 
 
-class CannotHalve(LcforgeError):
-    """A period of length 1 cannot be folded in half."""
-
-
 class InvalidSupport(LcforgeError):
     """Support positions are out of range or not strictly increasing."""
 
@@ -51,7 +47,7 @@ class InvalidParams(LcforgeError):
 
 
 class TooLarge(LcforgeError):
-    """Exhaustive enumeration requested beyond the supported size."""
+    """Census requested beyond the supported period."""
 
 
 class NoFormulaAvailable(LcforgeError):

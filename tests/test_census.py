@@ -1,6 +1,7 @@
 import json
 from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from lcforge import census
 from lcforge.census import (
     _SHARD_ROWS,
     _draws,
-    _orbits,
     CensusQuery,
     Exhaustive,
     Sampled,
@@ -25,7 +25,8 @@ from lcforge.census import (
     verify_formulas,
 )
 from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
-from lcforge.counting import kavuluru_table1, n3_total, rueppel_count
+from lcforge.cli import main
+from lcforge.counting import kavuluru_table1, n3_lcfull, n3_total, rueppel_count
 from lcforge.errors import InvalidParams, NoFormulaAvailable, TooLarge
 from lcforge.kerror import _stamp_martin
 
@@ -57,8 +58,10 @@ class TestQueryValidation:
             CensusQuery(6, 0, ALL, Sampled(10))
 
     def test_exhaustive_capped_below_sampled(self):
+        # one ceiling serves both modes
         with pytest.raises(TooLarge):
-            CensusQuery(5, 0, ALL, Exhaustive())
+            CensusQuery(6, 0, ALL, Exhaustive())
+        CensusQuery(5, 0, ALL, Exhaustive())  # fine
         CensusQuery(5, 0, ALL, Sampled(10))  # fine
 
     def test_rejects_bad_k(self):
@@ -125,30 +128,9 @@ class TestExhaustiveCensus:
 
 
 class TestOrbits:
-    def test_sizes_cover_the_class(self):
-        for n in range(5):
-            for seq_class in (ALL, FULL, LESS):
-                members, sizes = _orbits(n, seq_class)
-                assert int(sizes.sum()) == class_size(n, seq_class), (n, seq_class)
-        assert [len(_orbits(4, c)[0]) for c in (ALL, FULL, LESS)] == [4116, 2048, 2068]
-
-    def test_members_are_least_of_their_orbit(self):
-        for n in range(4):
-            period = 1 << n
-            for seq_class in (ALL, FULL, LESS):
-                members, sizes = _orbits(n, seq_class)
-                for value, size in zip(members.tolist(), sizes.tolist()):
-                    turns = {
-                        (value >> j | value << (period - j)) & ((1 << period) - 1)
-                        for j in range(period)
-                    }
-                    assert min(turns) == value
-                    assert len(turns) == size
-                    if seq_class is not ALL:
-                        assert value.bit_count() % 2 == (seq_class is FULL)
-
     def test_weighted_census_equals_a_tally_of_every_period(self):
-        # the full enumeration the orbits replace, kept as the oracle
+        # the Stamp-Martin kernel on every period of 16: the oracle for the
+        # coset count, which scores no sequence
         values = np.arange(1 << 16, dtype=np.uint32)
         bits = (values[:, None] >> np.arange(16, dtype=np.uint32) & 1).astype(bool)
         odd = np.bitwise_count(values) % 2 == 1
@@ -166,7 +148,7 @@ class TestOrbits:
 
 class TestFormulaJoin:
     def test_every_served_combo_matches_exhaustively(self):
-        for n in range(2, 5):
+        for n in range(2, 6):
             for k, seq_class in FORMULA_COMBOS:
                 report = verify_formulas(n, k, seq_class)
                 assert report.all_match, (n, k, seq_class)
@@ -182,6 +164,68 @@ class TestFormulaJoin:
         assert all(row.verdict == "Match" for row in report.rows)
         report.rows[2] = type(report.rows[2])(2, report.rows[2].census, 999, "Mismatch")
         assert not report.all_match
+
+
+# exact k = 4 tables at n = 5 for the two classes the paper gives no closed
+# form for
+PINNED_N5 = json.loads(
+    (Path(__file__).parent / "data" / "census_n5_k4.json").read_text()
+)
+
+
+def _residues_by_division(words, m, period):
+    """Each packed pattern reduced mod (1+x)^m by long division over GF(2)."""
+    # C(m, i) is odd exactly when i's bits are among m's (Lucas)
+    divisor = sum(1 << i for i in range(m + 1) if i & m == i)
+    words = words.copy()
+    for degree in range(period - 1, m - 1, -1):
+        lead = (words >> np.uint64(degree)) & np.uint64(1)
+        words ^= lead * np.uint64(divisor << (degree - m))
+    return words
+
+
+class TestPinnedN5:
+    def test_tables_without_a_closed_form(self, capsys):
+        all_rows, less_rows = PINNED_N5["all"], PINNED_N5["less"]
+        assert [r.census for r in exhaustive(5, 4, ALL).rows] == all_rows
+        assert [r.census for r in exhaustive(5, 4, LESS).rows] == less_rows
+        assert sum(all_rows) == 1 << 32
+        assert sum(less_rows) == 1 << 31
+        # the full class has a closed form: (4, full) equals (3, full)
+        assert [a - b for a, b in zip(all_rows, less_rows)] == [
+            n3_lcfull(5, L) for L in range(33)
+        ]
+        for seq_class in ("less", "all"):
+            for argv in (
+                ["count", "--n", "5", "--k", "4", "--class", seq_class, "--L", "3"],
+                ["verify", "--n", "5", "--k", "4", "--class", seq_class],
+            ):
+                assert main(argv) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err == f"error: no closed form for k=4 on class '{seq_class}'\n"
+
+    def test_division_route_agrees(self):
+        # distinct residues of the light patterns, found by long division
+        # rather than Lucas coordinates: #{L_k <= c} = 2^c * residues
+        period = 32
+        for seq_class, parity in ((ALL, None), (LESS, 0)):
+            words = np.array(
+                [
+                    sum(1 << p for p in combo)
+                    for w in range(5)
+                    if parity is None or w % 2 == parity
+                    for combo in combinations(range(period), w)
+                ],
+                dtype=np.uint64,
+            )
+            at_most = [
+                (1 << c)
+                * len(np.unique(_residues_by_division(words, period - c, period)))
+                for c in range(period)
+            ] + [class_size(5, seq_class)]
+            rows = [at_most[0]] + [b - a for a, b in zip(at_most, at_most[1:])]
+            assert rows == PINNED_N5[seq_class.value], seq_class
 
 
 class TestSampledCensus:

@@ -73,6 +73,11 @@ class TestLc:
         code, out, _ = run_cli(capsys, "lc", "--n", "4", "--file", str(path))
         assert code == 0
         assert "L = 16" in out
+        # bytes that are not UTF-8 are an input error, not a traceback
+        path.write_bytes(b"\xff" * 16)
+        code, _, err = run_cli(capsys, "lc", "--n", "4", "--file", str(path))
+        assert code == 2
+        assert err == "error: character '\ufffd' at index 0 is not 0/1\n"
         assert "weight = 3" in out
 
     def test_even_weight_is_less_class(self, capsys):
@@ -103,6 +108,25 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, "lc", "--n", "2", "--hex", "zz")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_file_size_is_bounded(self, capsys, tmp_path):
+        # a sparse 1 MiB file: only 4 * 2^n bytes are ever read
+        path = tmp_path / "big.txt"
+        with path.open("wb") as handle:
+            handle.truncate(1 << 20)
+        code, out, err = run_cli(capsys, "lc", "--n", "4", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: --file is longer than 64 bytes, the limit at n = 4\n"
+        # whitespace within the limit is still ignored: here 4 bytes a bit
+        path.write_bytes(b"1 \r\n" + b"0 \r\n" * 15)
+        code, out, _ = run_cli(capsys, "lc", "--n", "4", "--file", str(path))
+        assert code == 0
+        assert "L = 16" in out
+        # bytes that are not UTF-8 are an input error, not a traceback
+        path.write_bytes(b"\xff" * 16)
+        code, _, err = run_cli(capsys, "lc", "--n", "4", "--file", str(path))
+        assert code == 2
+        assert err == "error: character '\ufffd' at index 0 is not 0/1\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "lc", "--n", "2", "--file", str(tmp_path / "no"))
@@ -337,9 +361,19 @@ class TestCensus:
         assert all("interval" in row for row in payload["rows"])
 
     def test_exhaustive_too_large(self, capsys):
-        code, _, err = run_cli(capsys, "census", "--n", "5", "--k", "0")
-        assert code == 2
-        assert err.startswith("error:")
+        # one ceiling serves both modes
+        code, out, _ = run_cli(
+            capsys, "census", "--n", "5", "--k", "4", "--format", "csv"
+        )
+        assert code == 0
+        counts = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert sum(counts) == 1 << 32
+        for mode in ("exhaustive", "sampled"):
+            code, out, err = run_cli(
+                capsys, "census", "--n", "6", "--k", "0", "--mode", mode
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: census supports n <= 5, got 6\n"
 
     def test_jobs_flag_and_env(self, capsys, monkeypatch):
         code, solo, _ = run_cli(
@@ -458,15 +492,21 @@ class TestExitCodes:
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(census, "_SHARD_ROWS", 16)
         monkeypatch.setattr(census, "ProcessPoolExecutor", DeadPool)
+        code, out, err = run_cli(
+            capsys, "census", "--n", "4", "--k", "2", "--mode", "sampled",
+            "--jobs", "2",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: a worker process died")
+        # exhaustive censuses, verify and refute start no worker to lose
         for argv in (
             ["census", "--n", "4", "--k", "2", "--jobs", "2"],
             ["verify", "--n", "4", "--k", "3", "--jobs", "2"],
             ["refute", "--jobs", "2"],
         ):
-            code, out, err = run_cli(capsys, *argv)
-            assert code == 3
-            assert out == ""
-            assert err.startswith("error: a worker process died")
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
 
     def test_interrupt_exits_130(self, capsys, monkeypatch):
         def interrupted(args):
@@ -516,12 +556,12 @@ class TestEntryPoint:
             "MAX_EXPONENT", "PeriodicSequence", "RefutationReport",
             "RefutationRow", "Sampled", "SequenceClass", "census_distribution",
             "class_size", "decompose_L", "f_term", "formula_counts", "g_term",
-            "games_chan_lc", "halve", "interval_covers", "k_error_lc",
-            "k_error_profile", "k_min_formula", "k_min_search",
-            "kavuluru_table1", "lc_by_minimal_polynomial", "lc_pair", "lc_quad",
-            "lc_table", "n1_lcfull", "n2_lcless", "n2_total", "n3_lcfull",
-            "n3_total", "parse_binary", "parse_hex", "proportion_interval",
-            "refutation_report", "rueppel_count", "verify_formulas",
+            "games_chan_lc", "interval_covers", "k_error_lc", "k_error_profile",
+            "k_min_formula", "k_min_search", "kavuluru_table1",
+            "lc_by_minimal_polynomial", "lc_pair", "lc_quad", "n1_lcfull",
+            "n2_lcless", "n2_total", "n3_lcfull", "n3_total", "parse_binary",
+            "parse_hex", "proportion_interval", "refutation_report",
+            "rueppel_count", "verify_formulas",
         ]
         for name in lcforge.__all__:
             assert getattr(lcforge, name) is not None, name

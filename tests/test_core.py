@@ -7,23 +7,23 @@ from lcforge import core
 from lcforge.core import (
     PeriodicSequence,
     games_chan_lc,
-    halve,
     lc_by_minimal_polynomial,
     lc_pair,
     lc_quad,
-    lc_table,
     parse_binary,
     parse_hex,
 )
 from lcforge.errors import (
-    CannotHalve,
     InvalidDigit,
     InvalidPeriod,
     InvalidSupport,
     LemmaPreconditionViolated,
     PeriodMismatch,
-    TooLarge,
 )
+
+# complexity of every packed period, by the halving recurrence
+LC3 = [core._lc_value(value, 3) for value in range(1 << 8)]
+LC4 = [core._lc_value(value, 4) for value in range(1 << 16)]
 
 
 class TestPeriodicSequence:
@@ -139,38 +139,6 @@ class TestAddAndHalve:
         with pytest.raises(PeriodMismatch):
             PeriodicSequence.zeros(2) ^ PeriodicSequence.zeros(3)
 
-    def test_halve_examples(self):
-        assert halve(PeriodicSequence.from_bits([1, 0, 0, 0])).bits() == (1, 0)
-        assert halve(PeriodicSequence.from_bits([1, 0, 1, 0])).bits() == (0, 0)
-        assert halve(PeriodicSequence.from_bits([1, 1, 0, 1])).bits() == (1, 0)
-
-    def test_halve_period_one(self):
-        with pytest.raises(CannotHalve):
-            halve(PeriodicSequence(0, 1))
-
-    def test_halve_never_raises_weight(self):
-        for value in range(1 << 8):
-            s = PeriodicSequence(3, value)
-            assert halve(s).weight() <= s.weight()
-
-    def test_halve_preserves_parity_above_period_two(self):
-        # one period of length >= 4 splits into halves whose weights sum
-        # to the full weight, and folding flips nothing mod 2
-        for n in (2, 3):
-            for value in range(1 << (1 << n)):
-                s = PeriodicSequence(n, value)
-                assert halve(s).weight() & 1 == s.weight() & 1
-
-    def test_halve_preimage_counts(self):
-        # every target of exponent n has exactly 2^(2^n) preimages of
-        # exponent n + 1
-        for n in (0, 1, 2):
-            counts = {}
-            for value in range(1 << (1 << (n + 1))):
-                target = halve(PeriodicSequence(n + 1, value))
-                counts[target.value] = counts.get(target.value, 0) + 1
-            assert set(counts) == set(range(1 << (1 << n)))
-            assert all(c == 1 << (1 << n) for c in counts.values())
 
 
 class TestGamesChan:
@@ -214,18 +182,16 @@ class TestMinimalPolynomialOracle:
                 assert games_chan_lc(s) == lc_by_minimal_polynomial(s)
 
     def test_full_complexity_iff_odd_weight(self):
-        table = lc_table(4)
         for value in range(1 << 16):
-            full = table[value] == 16
+            full = LC4[value] == 16
             assert full == (value.bit_count() & 1 == 1)
 
     def test_sum_of_two_sequences(self):
         # unequal complexities force the max; equal complexities cancel
         # the leading behaviour and land strictly lower
-        table = lc_table(3)
         for a in range(1, 1 << 8):
             for b in range(1, 1 << 8):
-                la, lb, lab = table[a], table[b], table[a ^ b]
+                la, lb, lab = LC3[a], LC3[b], LC3[a ^ b]
                 if la != lb:
                     assert lab == max(la, lb)
                 else:
@@ -309,16 +275,3 @@ class TestClosedForms:
                     assert accepted > 0, quad
                 checked += accepted
         assert checked > 50_000
-
-
-class TestLcTable:
-    def test_matches_scalar_everywhere(self):
-        for n in range(5):
-            table = lc_table(n)
-            assert len(table) == 1 << (1 << n)
-            for value in range(len(table)):
-                assert table[value] == core._lc_value(value, n)
-
-    def test_cap(self):
-        with pytest.raises(TooLarge):
-            lc_table(5)

@@ -4,13 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lcforge import kerror
-from lcforge.core import (
-    PeriodicSequence,
-    games_chan_lc,
-    lc_by_minimal_polynomial,
-    lc_table,
-)
+from lcforge import core, kerror
+from lcforge.core import PeriodicSequence, games_chan_lc, lc_by_minimal_polynomial
 from lcforge.errors import (
     InvalidParams,
     InvalidSupport,
@@ -24,6 +19,10 @@ from lcforge.kerror import (
     k_min_formula,
     k_min_search,
 )
+
+# complexity of every packed period, by the halving recurrence
+LC3 = [core._lc_value(value, 3) for value in range(1 << 8)]
+LC4 = [core._lc_value(value, 4) for value in range(1 << 16)]
 
 
 def brute_k_error(s: PeriodicSequence, k: int):
@@ -89,9 +88,8 @@ class TestKErrorLc:
     def test_no_period8_L8_sequence_drops_to_two(self):
         # with three errors, complexity exactly 2 is unreachable from
         # full complexity at period 8
-        table = lc_table(3)
         for value in range(1 << 8):
-            if table[value] == 8:
+            if LC3[value] == 8:
                 assert k_error_lc(PeriodicSequence(3, value), 3).value != 2
 
     def test_matches_brute_oracle_exhaustive_n2(self):
@@ -417,8 +415,7 @@ class TestStability:
     UNSTABLE = (4, 6, 7)
 
     def _sequences_with(self, c):
-        table = lc_table(4)
-        return [PeriodicSequence(4, v) for v in range(1 << 16) if table[v] == c]
+        return [PeriodicSequence(4, v) for v in range(1 << 16) if LC4[v] == c]
 
     def test_two_error_complexity_pinned_under_even_perturbations(self):
         masks = _masks_of_weights(16, (0, 2))
