@@ -17,8 +17,8 @@ work is sharded.  Draws are split into contiguous shards and merged by
 componentwise addition, so results are identical for any worker count.
 A census with fewer than two shards' worth of draws runs in the calling
 process; larger ones use at most `jobs` workers and no more than the
-machine's cores.  Each shard is scored by the k-error kernel of
-lcforge.kerror, unit priced with budget k, over blocks of draws at once.
+machine's cores.  A shard looks each draw up among the sorted (1+x)^j
+words of the patterns of weight <= k; the nearer neighbour gives L_k.
 
 verify_formulas joins a census with the closed forms from
 lcforge.counting, and refutation_report reruns the period-16 3-error
@@ -42,15 +42,13 @@ import numpy as np
 
 from . import counting
 from .errors import InvalidParams, NoFormulaAvailable, TooLarge
-from .kerror import _stamp_martin
 
 MAX_CENSUS_EXPONENT = 5
 MAX_ERRORS = 4
 
-# rows per kernel call in a census: keeps a worker's temporaries near 1 MiB
-_BLOCK_ROWS = 1024
-# rows per shard: below two shards' worth a census runs in the calling
-# process, where it is done sooner than a worker pool could start
+# draws scored at once in a shard: bounds its temporaries for any count
+_BLOCK_ROWS = 1 << 13
+# rows per shard; under two shards' worth, a census ends before a pool starts
 _SHARD_ROWS = 8 * _BLOCK_ROWS
 
 
@@ -198,26 +196,32 @@ def render_csv(header, rows) -> str:
 # tallying
 
 
-def _tally_minima(values: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Per-L tally of the exact k-error complexity of each packed value.
-
-    Values go through the Stamp-Martin kernel with unit prices and
-    budget k, _BLOCK_ROWS of them per call.
-    """
-    period = 1 << n
-    tally = np.zeros(period + 1, dtype=np.int64)
-    little = values.dtype.newbyteorder("<")
-    for start in range(0, len(values), _BLOCK_ROWS):
-        block = values[start : start + _BLOCK_ROWS].astype(little, copy=False)
-        octets = block.view(np.uint8).reshape(len(block), -1)
-        bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :period]
-        unit = np.broadcast_to(np.int64(1), bits.shape)
-        lc, _ = _stamp_martin(bits.view(bool), unit, k)
-        tally += np.bincount(lc.ravel(), minlength=period + 1)
-    return tally
-
-
 _CLASS_PARITY = {SequenceClass.FULL_LC: 1, SequenceClass.LESS_LC: 0}
+
+
+def _pattern_words(n: int, k: int, parity: int | None) -> np.ndarray:
+    """Every pattern of weight <= k (of that parity, if given), packed."""
+    layer = np.zeros(1, dtype=np.uint64)  # the patterns of one weight
+    patterns = [layer] if parity != 1 else []
+    for weight in range(1, k + 1):
+        layer = np.concatenate(
+            [layer[layer < 1 << i] | np.uint64(1 << i) for i in range(1 << n)]
+        )
+        if parity is None or weight & 1 == parity:
+            patterns.append(layer)
+    return np.concatenate(patterns) if patterns else layer[:0]
+
+
+def _lucas(words: np.ndarray, n: int) -> np.ndarray:
+    """In place: bit j becomes the XOR of bits i whose bits are among j's.
+
+    That is the coordinate a_j in the basis (1+x)^j of the reflected period
+    i -> N-1-i, at bit N-1-j; reflection keeps weights, L and L_k.
+    """
+    for step in (1 << b for b in range(n)):
+        upper = sum(1 << j for j in range(1 << n) if j & step)
+        words ^= (words << np.uint64(step)) & np.uint64(upper)
+    return words
 
 
 def _coset_tally(n: int, k: int, seq_class: SequenceClass) -> list[int]:
@@ -233,28 +237,12 @@ def _coset_tally(n: int, k: int, seq_class: SequenceClass) -> list[int]:
     and the less class even-weight ones.
     """
     period = 1 << n
-    parity = _CLASS_PARITY.get(seq_class)
-    layer = np.zeros(1, dtype=np.uint64)  # the patterns of one weight
-    patterns = [layer] if parity != 1 else []
-    for weight in range(1, k + 1):
-        layer = np.concatenate(
-            [layer[layer < 1 << i] | np.uint64(1 << i) for i in range(period)]
-        )
-        if parity is None or weight & 1 == parity:
-            patterns.append(layer)
-    if not patterns:  # the full class with k = 0
+    words = _lucas(_pattern_words(n, k, _CLASS_PARITY.get(seq_class)), n)
+    if not len(words):  # the full class with k = 0
         return [0] * period + [class_size(n, seq_class)]
-    # Each weight's patterns are closed under the reflection i -> N-1-i,
-    # and on a reflected pattern the subset-XOR transform puts a_j at bit
-    # N-1-j directly.
-    words = np.concatenate(patterns)
-    for b in range(n):
-        step = 1 << b
-        upper = sum(1 << j for j in range(period) if j & step)
-        words ^= (words << np.uint64(step)) & np.uint64(upper)
     words.sort()
     # bit length of each adjacent XOR, 0 for a repeated word; frexp is
-    # exact below 2^53 (n <= 5)
+    # exact below 2^53 (n <= 5), here and in _sampled_shard
     _, lengths = np.frexp(words[1:] ^ words[:-1])
     longer = np.bincount(lengths, minlength=period + 1)[::-1].cumsum()[::-1]
     at_most = [(1 << c) * (1 + int(longer[c + 1])) for c in range(period)]
@@ -289,8 +277,20 @@ def _draws(seed: int, lo: int, hi: int, n: int, seq_class: SequenceClass) -> np.
 def _sampled_shard(
     n: int, k: int, class_value: str, seed: int, lo: int, hi: int
 ) -> list[int]:
-    values = _draws(seed, lo, hi, n, SequenceClass(class_value))
-    return _tally_minima(values, n, k).tolist()
+    """Per-L tally of draws lo..hi-1, scored by their nearest light words."""
+    # all patterns of weight <= k, whatever the class: 0 is always one
+    light = np.sort(_lucas(_pattern_words(n, k, None), n))
+    tally = np.zeros((1 << n) + 1, dtype=np.int64)
+    seq_class = SequenceClass(class_value)
+    for start in range(lo, hi, _BLOCK_ROWS):
+        end = min(hi, start + _BLOCK_ROWS)
+        words = _lucas(_draws(seed, start, end, n, seq_class), n)
+        above = np.searchsorted(light, words)
+        left = light[np.maximum(above, 1) - 1]
+        right = light[np.minimum(above, len(light) - 1)]
+        _, lengths = np.frexp(np.minimum(words ^ left, words ^ right))
+        tally += np.bincount(lengths, minlength=len(tally))
+    return tally.tolist()
 
 
 def _shard_bounds(rows: int, jobs: int) -> list[tuple[int, int]]:

@@ -10,7 +10,7 @@ given one period or a batch of them, a price for flipping each position
 and a budget, it returns per period the least complexity reachable at a
 total price within the budget, and the least total price that reaches
 it, in O(N).  With unit prices and budget k that is L_k, all that
-k_error_profile, k_min_search and the censuses of lcforge.census need.
+k_error_profile and k_min_search need.
 
 k_error_lc also reports a canonical witness: among the lightest patterns
 reaching L_k, the first in lexicographic position order (zero flips

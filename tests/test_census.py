@@ -127,23 +127,55 @@ class TestExhaustiveCensus:
         assert solo.to_csv() == duo.to_csv()
 
 
+def _kernel_lc(values, n, k):
+    """L_k of each packed period by the Stamp-Martin kernel, the oracle."""
+    period = 1 << n
+    bits = (values[:, None] >> np.arange(period, dtype=values.dtype) & 1).astype(bool)
+    unit = np.ones(bits.shape, dtype=np.int64)
+    return np.concatenate([
+        _stamp_martin(bits[i : i + 8192], unit[i : i + 8192], k)[0]
+        for i in range(0, len(values), 8192)
+    ])
+
+
+def _shard_tally(monkeypatch, values, n, k, seq_class):
+    """The sampled shard scorer's tally of the given packed periods."""
+    # _draws returns a fresh array, which the scorer transforms in place
+    monkeypatch.setattr(census, "_draws", lambda seed, lo, hi, *_: values[lo:hi].copy())
+    return census._sampled_shard(n, k, seq_class.value, 0, 0, len(values))
+
+
+@pytest.fixture(scope="module")
+def every_period_of_16():
+    """Every period of 16, and its L_k for k = 0..4 by the kernel."""
+    values = np.arange(1 << 16, dtype=np.uint64)
+    return values, [_kernel_lc(values, 4, k) for k in range(5)]
+
+
 class TestOrbits:
-    def test_weighted_census_equals_a_tally_of_every_period(self):
+    def test_weighted_census_equals_a_tally_of_every_period(self, every_period_of_16):
         # the Stamp-Martin kernel on every period of 16: the oracle for the
         # coset count, which scores no sequence
-        values = np.arange(1 << 16, dtype=np.uint32)
-        bits = (values[:, None] >> np.arange(16, dtype=np.uint32) & 1).astype(bool)
+        values, lcs = every_period_of_16
         odd = np.bitwise_count(values) % 2 == 1
-        unit = np.ones(bits.shape, dtype=np.int64)
-        for k in range(5):
-            lc = np.concatenate([
-                _stamp_martin(bits[i : i + 8192], unit[i : i + 8192], k)[0]
-                for i in range(0, 1 << 16, 8192)
-            ])
+        for k, lc in enumerate(lcs):
             for seq_class, rows in ((ALL, slice(None)), (FULL, odd), (LESS, ~odd)):
                 tally = np.bincount(lc[rows], minlength=17).tolist()
                 report = exhaustive(4, k, seq_class)
                 assert [row.census for row in report.rows] == tally, (k, seq_class)
+
+    def test_shard_scorer_equals_a_tally_of_every_period(
+        self, every_period_of_16, monkeypatch
+    ):
+        # the nearest light coset word against the kernel, over every period
+        # of each class, in blocks of _BLOCK_ROWS
+        values, lcs = every_period_of_16
+        odd = np.bitwise_count(values) % 2 == 1
+        for k, lc in enumerate(lcs):
+            for seq_class, rows in ((ALL, slice(None)), (FULL, odd), (LESS, ~odd)):
+                tally = np.bincount(lc[rows], minlength=17).tolist()
+                scored = _shard_tally(monkeypatch, values[rows], 4, k, seq_class)
+                assert scored == tally, (k, seq_class)
 
 
 class TestFormulaJoin:
@@ -328,21 +360,33 @@ class TestSampledCensus:
     @pytest.mark.parametrize("k, draws", [(2, 64), (3, 8)])
     def test_n5_matches_brute_force_over_the_same_draws(self, k, draws):
         seed = 17
-        report = census_distribution(CensusQuery(5, k, ALL, Sampled(draws, seed)))
         masks = [0] + [
             sum(1 << p for p in combo)
             for w in range(1, k + 1)
             for combo in combinations(range(32), w)
         ]
-        tally = [0] * 33
-        for value in _draws(seed, 0, draws, 5, ALL).tolist():
-            tally[
-                min(
-                    lc_by_minimal_polynomial(PeriodicSequence(5, value ^ mask))
-                    for mask in masks
-                )
-            ] += 1
-        assert [row.census for row in report.rows] == tally
+        for seq_class in (ALL, FULL, LESS):
+            query = CensusQuery(5, k, seq_class, Sampled(draws, seed))
+            tally = [0] * 33
+            for value in _draws(seed, 0, draws, 5, seq_class).tolist():
+                tally[
+                    min(
+                        lc_by_minimal_polynomial(PeriodicSequence(5, value ^ mask))
+                        for mask in masks
+                    )
+                ] += 1
+            rows = census_distribution(query).rows
+            assert [row.census for row in rows] == tally, seq_class
+
+    def test_n5_matches_the_kernel_over_the_same_draws(self):
+        seed, draws = 23, 4096
+        for seq_class in (ALL, FULL, LESS):
+            values = _draws(seed, 0, draws, 5, seq_class)
+            for k in range(5):
+                tally = np.bincount(_kernel_lc(values, 5, k), minlength=33).tolist()
+                query = CensusQuery(5, k, seq_class, Sampled(draws, seed))
+                rows = census_distribution(query).rows
+                assert [row.census for row in rows] == tally, (k, seq_class)
 
     def test_intervals_cover_the_exact_proportions(self):
         # the three-sigma band should capture the truth essentially always

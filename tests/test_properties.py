@@ -1,0 +1,63 @@
+"""Properties of the k-error engine over random periods with n <= 8."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lcforge.core import PeriodicSequence, games_chan_lc
+from lcforge.kerror import k_error_lc, k_error_profile, k_min_formula, k_min_search
+
+# a hundred examples each keep the whole module under three seconds
+bounded = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def periods(draw):
+    n = draw(st.integers(0, 8))
+    return PeriodicSequence(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+
+
+@st.composite
+def periods_and_k(draw):
+    s = draw(periods())
+    return s, draw(st.integers(0, min(s.period, 8)))
+
+
+def _rotate(s: PeriodicSequence, shift: int) -> PeriodicSequence:
+    shift %= s.period
+    mask = (1 << s.period) - 1
+    return PeriodicSequence(
+        s.exponent, (s.value << shift | s.value >> (s.period - shift)) & mask
+    )
+
+
+@bounded
+@given(periods(), st.integers(0, 8))
+def test_profile_is_non_increasing(s, k_max):
+    profile = k_error_profile(s, min(k_max, s.period))
+    assert [k for k, _ in profile] == list(range(len(profile)))
+    values = [value for _, value in profile]
+    assert values[0] == games_chan_lc(s)
+    assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+@bounded
+@given(periods_and_k(), st.integers(0, 255))
+def test_value_is_invariant_under_cyclic_shift(s_and_k, shift):
+    s, k = s_and_k
+    assert k_error_lc(_rotate(s, shift), k).value == k_error_lc(s, k).value
+
+
+@bounded
+@given(periods_and_k())
+def test_witness_reaches_the_value(s_and_k):
+    s, k = s_and_k
+    result = k_error_lc(s, k)
+    assert result.witness.weight <= k
+    flipped = PeriodicSequence(s.exponent, s.value ^ result.witness.as_mask())
+    assert games_chan_lc(flipped) == result.value
+
+
+@bounded
+@given(periods().filter(lambda s: s.value != 0))
+def test_k_min_formula_equals_search(s):
+    assert k_min_formula(s) == k_min_search(s, s.period)
