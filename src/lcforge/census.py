@@ -11,14 +11,11 @@ weight <= k is congruent to s modulo (1+x)^(N-c).  The census counts the
 residues that light patterns reach, for every c at once, in the calling
 process.
 
-Sampled censuses draw values from a counter-based hash stream so the
-same (seed, count) always yields the same draws regardless of how the
-work is sharded.  Draws are split into contiguous shards and merged by
-componentwise addition, so results are identical for any worker count.
-A census with fewer than two shards' worth of draws runs in the calling
-process; larger ones use at most `jobs` workers and no more than the
-machine's cores.  A shard looks each draw up among the sorted (1+x)^j
-words of the patterns of weight <= k; the nearer neighbour gives L_k.
+Sampled censuses draw values from a counter-based hash stream, so the
+same (seed, count) always yields the same draws.  They too run in the
+calling process, 8 192 draws at a time: each draw is looked up among the
+sorted (1+x)^j words of the patterns of weight <= k, and the nearer
+neighbour gives L_k.
 
 verify_formulas joins a census with the closed forms from
 lcforge.counting, and refutation_report reruns the period-16 3-error
@@ -29,8 +26,6 @@ it contradicts.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -46,10 +41,8 @@ from .errors import InvalidParams, NoFormulaAvailable, TooLarge
 MAX_CENSUS_EXPONENT = 5
 MAX_ERRORS = 4
 
-# draws scored at once in a shard: bounds its temporaries for any count
+# draws scored at once: bounds a sampled census's temporaries for any count
 _BLOCK_ROWS = 1 << 13
-# rows per shard; under two shards' worth, a census ends before a pool starts
-_SHARD_ROWS = 8 * _BLOCK_ROWS
 
 
 class SequenceClass(Enum):
@@ -87,8 +80,11 @@ class CensusQuery:
             raise TooLarge(
                 f"census supports n <= {MAX_CENSUS_EXPONENT}, got {self.n}"
             )
-        if not 0 <= self.k <= min(MAX_ERRORS, 1 << self.n):
-            raise InvalidParams(f"census supports k <= {MAX_ERRORS}, got {self.k}")
+        most = min(MAX_ERRORS, 1 << self.n)
+        if not 0 <= self.k <= most:
+            raise InvalidParams(
+                f"census supports k in [0, {most}] at n = {self.n}, got {self.k}"
+            )
         if isinstance(self.mode, Sampled):
             if self.mode.count < 1:
                 raise InvalidParams("sample count must be at least 1")
@@ -201,12 +197,13 @@ _CLASS_PARITY = {SequenceClass.FULL_LC: 1, SequenceClass.LESS_LC: 0}
 
 def _pattern_words(n: int, k: int, parity: int | None) -> np.ndarray:
     """Every pattern of weight <= k (of that parity, if given), packed."""
-    layer = np.zeros(1, dtype=np.uint64)  # the patterns of one weight
+    bits = np.uint64(1) << np.arange(1 << n, dtype=np.uint64)
+    layer = np.zeros(1, dtype=np.uint64)  # the patterns of one weight, sorted
     patterns = [layer] if parity != 1 else []
     for weight in range(1, k + 1):
-        layer = np.concatenate(
-            [layer[layer < 1 << i] | np.uint64(1 << i) for i in range(1 << n)]
-        )
+        # the patterns below bit i are a prefix of the sorted layer
+        cuts = np.searchsorted(layer, bits).tolist()
+        layer = np.concatenate([layer[:cut] | bit for cut, bit in zip(cuts, bits)])
         if parity is None or weight & 1 == parity:
             patterns.append(layer)
     return np.concatenate(patterns) if patterns else layer[:0]
@@ -242,7 +239,7 @@ def _coset_tally(n: int, k: int, seq_class: SequenceClass) -> list[int]:
         return [0] * period + [class_size(n, seq_class)]
     words.sort()
     # bit length of each adjacent XOR, 0 for a repeated word; frexp is
-    # exact below 2^53 (n <= 5), here and in _sampled_shard
+    # exact below 2^53 (n <= 5), here and in _sampled_tally
     _, lengths = np.frexp(words[1:] ^ words[:-1])
     longer = np.bincount(lengths, minlength=period + 1)[::-1].cumsum()[::-1]
     at_most = [(1 << c) * (1 + int(longer[c + 1])) for c in range(period)]
@@ -274,16 +271,15 @@ def _draws(seed: int, lo: int, hi: int, n: int, seq_class: SequenceClass) -> np.
     return free | top << np.uint64(period - 1)
 
 
-def _sampled_shard(
-    n: int, k: int, class_value: str, seed: int, lo: int, hi: int
+def _sampled_tally(
+    n: int, k: int, seq_class: SequenceClass, seed: int, count: int
 ) -> list[int]:
-    """Per-L tally of draws lo..hi-1, scored by their nearest light words."""
+    """Per-L tally of the first `count` draws, scored by their nearest light words."""
     # all patterns of weight <= k, whatever the class: 0 is always one
     light = np.sort(_lucas(_pattern_words(n, k, None), n))
     tally = np.zeros((1 << n) + 1, dtype=np.int64)
-    seq_class = SequenceClass(class_value)
-    for start in range(lo, hi, _BLOCK_ROWS):
-        end = min(hi, start + _BLOCK_ROWS)
+    for start in range(0, count, _BLOCK_ROWS):
+        end = min(count, start + _BLOCK_ROWS)
         words = _lucas(_draws(seed, start, end, n, seq_class), n)
         above = np.searchsorted(light, words)
         left = light[np.maximum(above, 1) - 1]
@@ -293,37 +289,14 @@ def _sampled_shard(
     return tally.tolist()
 
 
-def _shard_bounds(rows: int, jobs: int) -> list[tuple[int, int]]:
-    shards = max(1, min(jobs, os.cpu_count() or 1, rows // _SHARD_ROWS))
-    edges = [rows * i // shards for i in range(shards + 1)]
-    return list(zip(edges, edges[1:]))
-
-
-def _run_shards(worker, common_args: tuple, rows: int, jobs: int) -> list[int]:
-    bounds = _shard_bounds(rows, jobs)
-    if len(bounds) == 1:
-        return worker(*common_args, *bounds[0])
-    with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-        futures = [pool.submit(worker, *common_args, lo, hi) for lo, hi in bounds]
-        tallies = [f.result() for f in futures]
-    # componentwise addition: any sharding gives the same merged tally
-    return [sum(parts) for parts in zip(*tallies)]
-
-
-def census_distribution(query: CensusQuery, jobs: int = 1) -> CensusReport:
-    """Run the census described by `query`.
-
-    A sampled census may use up to `jobs` workers; an exhaustive one runs
-    in the calling process whatever `jobs` says.
-    """
-    if jobs < 1:
-        raise InvalidParams(f"jobs must be at least 1, got {jobs}")
+def census_distribution(query: CensusQuery) -> CensusReport:
+    """Run the census described by `query` in the calling process."""
     start = perf_counter()
     if isinstance(query.mode, Exhaustive):
         counts = _coset_tally(query.n, query.k, query.seq_class)
     else:
-        args = (query.n, query.k, query.seq_class.value, query.mode.seed)
-        counts = _run_shards(_sampled_shard, args, query.mode.count, jobs)
+        mode = query.mode
+        counts = _sampled_tally(query.n, query.k, query.seq_class, mode.seed, mode.count)
     rows = [CensusRow(L, count) for L, count in enumerate(counts)]
     return CensusReport(
         query.n, query.k, query.seq_class, query.mode, rows,
@@ -375,8 +348,10 @@ def formula_counts(n: int, k: int, seq_class: SequenceClass) -> list[int]:
 
 def verify_formulas(n: int, k: int, seq_class: SequenceClass) -> CensusReport:
     """Exhaustively census (n, k, class) and join each row with its closed form."""
+    closed_form(k, seq_class)  # a pair with no closed form is refused first
+    query = CensusQuery(n, k, seq_class, Exhaustive())
     expected = formula_counts(n, k, seq_class)
-    report = census_distribution(CensusQuery(n, k, seq_class, Exhaustive()))
+    report = census_distribution(query)
     rows = [
         CensusRow(
             row.L,

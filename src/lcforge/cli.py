@@ -2,19 +2,18 @@
 
 Subcommands: lc, kerr, profile (single-sequence analysis), count (closed
 forms), census, verify, refute (distribution work).  Every subcommand
-renders as an aligned table, JSON, or CSV via --format.
+renders as an aligned table, JSON, or CSV via --format.  Every census
+runs in the calling process; census, verify and refute accept --jobs
+and check it, so scripts may pass it, but it changes nothing.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
-finds a formula/census mismatch, 2 on invalid input, 3 when a worker
-process of a sampled census dies, 130 on Ctrl-C.
+finds a formula/census mismatch, 2 on invalid input, 130 on Ctrl-C.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from functools import cache
 
@@ -62,15 +61,11 @@ def _add_input(parser):
     )
 
 
-def _add_jobs(parser, help):
+def _add_jobs(parser):
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="J", help=help
+        "--jobs", type=int, default=None, metavar="J",
+        help="accepted and checked (at least 1); every census runs in-process",
     )
-
-
-# verify and refute take --jobs so that scripts may pass it to every
-# distribution command, but their exhaustive censuses start no worker
-_IN_PROCESS_JOBS = "accepted and checked; this census runs in-process"
 
 
 def _add_census_params(parser):
@@ -123,19 +118,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, metavar="SEED",
         help="stream seed for --mode sampled (default 0)",
     )
-    _add_jobs(p, "worker processes for --mode sampled (default: all cores)")
+    _add_jobs(p)
     _add_format(p)
 
     p = sub.add_parser("verify", help="census vs closed form for every L")
     _add_census_params(p)
-    _add_jobs(p, _IN_PROCESS_JOBS)
+    _add_jobs(p)
     _add_format(p)
 
     p = sub.add_parser(
         "refute",
         help="period-16 3-error census vs closed form vs the published table",
     )
-    _add_jobs(p, _IN_PROCESS_JOBS)
+    _add_jobs(p)
     _add_format(p)
 
     return parser
@@ -159,12 +154,9 @@ def _load_sequence(args) -> core.PeriodicSequence:
     return core.parse_binary(text, args.n)
 
 
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise InvalidParams(f"--jobs must be at least 1, got {args.jobs}")
-        return args.jobs
-    return os.cpu_count() or 1
+def _check_jobs(args) -> None:
+    if args.jobs is not None and args.jobs < 1:
+        raise InvalidParams(f"--jobs must be at least 1, got {args.jobs}")
 
 
 def _emit_pairs(pairs, fmt: str) -> None:
@@ -319,13 +311,14 @@ def _cmd_census(args) -> int:
     else:
         mode = Exhaustive()
     query = CensusQuery(args.n, args.k, SequenceClass(args.seq_class), mode)
-    report = census_distribution(query, _resolve_jobs(args))
+    _check_jobs(args)  # after the query, whose errors are reported first
+    report = census_distribution(query)
     _emit_report(report, args.format, _print_census_table)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    _resolve_jobs(args)  # checked, then unused: see _IN_PROCESS_JOBS
+    _check_jobs(args)
     report = verify_formulas(args.n, args.k, SequenceClass(args.seq_class))
     _emit_report(report, args.format, _print_census_table)
     return 0 if report.all_match else 1
@@ -347,7 +340,7 @@ def _print_refutation_table(report) -> None:
 
 
 def _cmd_refute(args) -> int:
-    _resolve_jobs(args)  # checked, then unused: see _IN_PROCESS_JOBS
+    _check_jobs(args)
     report = refutation_report()
     _emit_report(report, args.format, _print_refutation_table)
     return 0
@@ -371,9 +364,6 @@ def main(argv=None) -> int:
     except (LcforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:
-        print(f"error: a worker process died: {exc}", file=sys.stderr)
-        return 3
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130

@@ -9,6 +9,7 @@ import random
 from contextlib import contextmanager
 from itertools import combinations
 
+from lcforge import census
 from lcforge.census import (
     CensusQuery,
     Exhaustive,
@@ -19,6 +20,7 @@ from lcforge.census import (
     refutation_report,
     verify_formulas,
 )
+from lcforge.cli import main
 from lcforge.core import (
     PeriodicSequence,
     _lc_value,
@@ -160,13 +162,19 @@ def test_criterion_8_counting_totals_and_additivity():
                     assert closed_form(k, ALL)(n, L) == less(n, L) + full(n, L)
 
 
-def test_criterion_9_census_is_worker_count_invariant():
-    with criterion(9, "census bytes identical across 1, 4 and 8 workers"):
-        reports = [
-            census_distribution(CensusQuery(4, 3, ALL, Exhaustive()), jobs=jobs)
-            for jobs in (1, 4, 8)
-        ]
-        jsons = {report.to_json() for report in reports}
-        csvs = {report.to_csv() for report in reports}
-        assert len(jsons) == 1
-        assert len(csvs) == 1
+def test_criterion_9_census_is_worker_count_invariant(capsys, monkeypatch):
+    with criterion(9, "census bytes identical across --jobs 1, 4, 8 and draw blocks"):
+        default = census._BLOCK_ROWS
+        for argv, block_rows in (
+            (["--n", "4", "--k", "3"], (default,)),
+            (["--n", "5", "--k", "2", "--mode", "sampled", "--samples", "3000"],
+             (1, 100, default)),
+        ):
+            printed = set()
+            for rows in block_rows:
+                monkeypatch.setattr(census, "_BLOCK_ROWS", rows)
+                for jobs in ("1", "4", "8"):
+                    for fmt in ("json", "csv"):
+                        assert main(["census", *argv, "--jobs", jobs, "--format", fmt]) == 0
+                        printed.add((fmt, capsys.readouterr().out))
+            assert len(printed) == 2, argv

@@ -1,5 +1,4 @@
 import json
-from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -8,7 +7,6 @@ import pytest
 
 from lcforge import census
 from lcforge.census import (
-    _SHARD_ROWS,
     _draws,
     CensusQuery,
     Exhaustive,
@@ -48,8 +46,17 @@ FORMULA_COMBOS = (
 )
 
 
-def exhaustive(n, k, seq_class, jobs=1):
-    return census_distribution(CensusQuery(n, k, seq_class, Exhaustive()), jobs)
+def exhaustive(n, k, seq_class):
+    return census_distribution(CensusQuery(n, k, seq_class, Exhaustive()))
+
+
+def cli_bytes(capsys, argv):
+    """What `lcforge census` prints for argv in json and in csv."""
+    printed = []
+    for fmt in ("json", "csv"):
+        assert main(["census", *argv, "--format", fmt]) == 0
+        printed.append(capsys.readouterr().out)
+    return printed
 
 
 class TestQueryValidation:
@@ -79,10 +86,6 @@ class TestQueryValidation:
             CensusQuery(4, 0, ALL, Sampled(10, seed=-1))
         with pytest.raises(InvalidParams):
             CensusQuery(4, 0, ALL, Sampled(10, seed=1 << 64))
-
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(InvalidParams):
-            exhaustive(2, 0, ALL, jobs=0)
 
     def test_class_size(self):
         assert class_size(4, ALL) == 65536
@@ -120,11 +123,13 @@ class TestExhaustiveCensus:
                         == full.rows[L].census + less.rows[L].census
                     ), (n, k, L)
 
-    def test_worker_count_does_not_change_output(self):
-        solo = exhaustive(4, 3, ALL, jobs=1)
-        duo = exhaustive(4, 3, ALL, jobs=2)
-        assert solo.to_json() == duo.to_json()
-        assert solo.to_csv() == duo.to_csv()
+    def test_worker_count_does_not_change_output(self, capsys):
+        # --jobs is only checked: the census runs in-process whatever it says
+        report = exhaustive(4, 3, ALL)
+        expected = [report.to_json() + "\n", report.to_csv()]
+        for jobs in ("1", "2"):
+            argv = ["--n", "4", "--k", "3", "--jobs", jobs]
+            assert cli_bytes(capsys, argv) == expected
 
 
 def _kernel_lc(values, n, k):
@@ -138,11 +143,11 @@ def _kernel_lc(values, n, k):
     ])
 
 
-def _shard_tally(monkeypatch, values, n, k, seq_class):
-    """The sampled shard scorer's tally of the given packed periods."""
+def _sampled_tally(monkeypatch, values, n, k, seq_class):
+    """The sampled census scorer's tally of the given packed periods."""
     # _draws returns a fresh array, which the scorer transforms in place
     monkeypatch.setattr(census, "_draws", lambda seed, lo, hi, *_: values[lo:hi].copy())
-    return census._sampled_shard(n, k, seq_class.value, 0, 0, len(values))
+    return census._sampled_tally(n, k, seq_class, 0, len(values))
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +179,7 @@ class TestOrbits:
         for k, lc in enumerate(lcs):
             for seq_class, rows in ((ALL, slice(None)), (FULL, odd), (LESS, ~odd)):
                 tally = np.bincount(lc[rows], minlength=17).tolist()
-                scored = _shard_tally(monkeypatch, values[rows], 4, k, seq_class)
+                scored = _sampled_tally(monkeypatch, values[rows], 4, k, seq_class)
                 assert scored == tally, (k, seq_class)
 
 
@@ -276,63 +281,30 @@ class TestSampledCensus:
         b = census_distribution(CensusQuery(4, 2, ALL, Sampled(512, seed=1)))
         assert [r.census for r in a.rows] != [r.census for r in b.rows]
 
-    def test_worker_count_does_not_change_sample(self):
-        solo = census_distribution(CensusQuery(4, 3, ALL, Sampled(1000, seed=9)), jobs=1)
-        trio = census_distribution(CensusQuery(4, 3, ALL, Sampled(1000, seed=9)), jobs=3)
-        assert solo.to_json() == trio.to_json()
+    def test_worker_count_does_not_change_sample(self, capsys):
+        report = census_distribution(CensusQuery(4, 3, ALL, Sampled(1000, seed=9)))
+        expected = [report.to_json() + "\n", report.to_csv()]
+        for jobs in ("1", "3"):
+            argv = [
+                "--n", "4", "--k", "3", "--mode", "sampled", "--samples", "1000",
+                "--seed", "9", "--jobs", jobs,
+            ]
+            assert cli_bytes(capsys, argv) == expected
 
-    def test_two_shards_match_one(self, monkeypatch):
-        pools = []
+    def test_draw_blocks_do_not_change_output(self, monkeypatch):
+        # blocks bound the temporaries only: every draw is tallied on its own
+        def census_bytes(query):
+            report = census_distribution(query)
+            return report.to_json() + report.to_csv()
 
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
-        query = CensusQuery(4, 2, LESS, Sampled(2 * _SHARD_ROWS, seed=6))
-        solo = census_distribution(query, jobs=1)
-        duo = census_distribution(query, jobs=2)
-        assert pools == [2]
-        assert solo.to_json() == duo.to_json()
-        assert solo.to_csv() == duo.to_csv()
-
-    def test_workers_are_capped_at_the_core_count(self, monkeypatch):
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(census, "_SHARD_ROWS", 16)
-        monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
-        query = CensusQuery(4, 2, ALL, Sampled(200, seed=8))
-        many = census_distribution(query, jobs=10**6)
-        assert pools == [3]
-        assert many.to_json() == census_distribution(query, jobs=1).to_json()
-
-    def test_small_censuses_start_no_pool(self, monkeypatch):
-        def refuse(max_workers):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(census, "ProcessPoolExecutor", refuse)
-        exhaustive(4, 1, FULL, jobs=8)
-        census_distribution(
-            CensusQuery(5, 2, ALL, Sampled(2 * _SHARD_ROWS - 1, seed=1)), jobs=8
-        )
+        queries = [
+            CensusQuery(5, 3, seq_class, Sampled(20_000, seed=6))
+            for seq_class in SequenceClass
+        ]
+        default = [census_bytes(query) for query in queries]
+        for rows in (7, 1000):
+            monkeypatch.setattr(census, "_BLOCK_ROWS", rows)
+            assert [census_bytes(query) for query in queries] == default, rows
 
     def test_draws_are_pinned(self):
         # the stream is blake2b-8 of (seed, index), both 8 bytes big-endian

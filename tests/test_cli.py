@@ -3,14 +3,12 @@ import os
 import random
 import subprocess
 import sys
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 import lcforge
-from lcforge import census, cli
+from lcforge import cli
 from lcforge.census import render_json
 from lcforge.cli import main
 from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
@@ -24,6 +22,14 @@ def _decimal_to_int(digits: str) -> int:
         chunk = digits[i : i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     return value
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this lcforge."""
+    src = str(Path(lcforge.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(capsys, *argv):
@@ -387,8 +393,8 @@ class TestCensus:
         )
         assert code == 0
         assert solo == duo
-        # the worker count comes from --jobs or the core count, never the
-        # environment
+        # every census runs in-process: --jobs is only checked, and nothing
+        # is read from the environment
         monkeypatch.setenv("LCFORGE_JOBS", "banana")
         code, default, _ = run_cli(
             capsys, "census", "--n", "3", "--k", "2", "--format", "csv"
@@ -403,6 +409,35 @@ class TestCensus:
             )
             assert code == 2
             assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+    def test_k_bound_names_the_range(self, capsys):
+        for n, k, message in (
+            ("1", "3", "census supports k in [0, 2] at n = 1, got 3"),
+            ("3", "-1", "census supports k in [0, 4] at n = 3, got -1"),
+        ):
+            code, out, err = run_cli(capsys, "census", "--n", n, "--k", k)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_large_sampled_census_starts_no_worker(self):
+        # a fresh interpreter, so no other test has imported the modules
+        script = (
+            "import sys\n"
+            "from lcforge import cli\n"
+            "code = cli.main(['census', '--n', '5', '--k', '2', '--mode', 'sampled',"
+            " '--samples', '131072', '--jobs', '2', '--format', 'csv'])\n"
+            "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0
+        counts = [int(line.split(",")[1]) for line in proc.stdout.splitlines()[1:]]
+        assert sum(counts) == 131072
+        assert proc.stderr == "False\n"
 
 
 class TestVerify:
@@ -452,6 +487,15 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_out_of_range_n_is_refused_before_any_formula(self, capsys):
+        # n = 20 would build 2^20 + 1 closed-form values if n were checked late
+        for n in ("-1", "6", "20"):
+            code, out, err = run_cli(
+                capsys, "verify", "--n", n, "--k", "3", "--class", "full"
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: census supports n <= 5, got {n}\n"
+
 
 class TestRefute:
     def test_table_names_the_disagreements(self, capsys):
@@ -469,45 +513,7 @@ class TestRefute:
         assert len(lines) == 17
 
 
-class DeadPool:
-    """A ProcessPoolExecutor stand-in whose every future reports a dead worker."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_exception(BrokenProcessPool("a worker was terminated abruptly"))
-        return future
-
-
 class TestExitCodes:
-    def test_dead_worker_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(census, "_SHARD_ROWS", 16)
-        monkeypatch.setattr(census, "ProcessPoolExecutor", DeadPool)
-        code, out, err = run_cli(
-            capsys, "census", "--n", "4", "--k", "2", "--mode", "sampled",
-            "--jobs", "2",
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: a worker process died")
-        # exhaustive censuses, verify and refute start no worker to lose
-        for argv in (
-            ["census", "--n", "4", "--k", "2", "--jobs", "2"],
-            ["verify", "--n", "4", "--k", "3", "--jobs", "2"],
-            ["refute", "--jobs", "2"],
-        ):
-            code, _, err = run_cli(capsys, *argv)
-            assert (code, err) == (0, "")
-
     def test_interrupt_exits_130(self, capsys, monkeypatch):
         def interrupted(args):
             raise KeyboardInterrupt
@@ -568,15 +574,11 @@ class TestEntryPoint:
 
 
     def test_module_invocation(self):
-        # the child imports the same lcforge as this test, installed or not
-        src = str(Path(lcforge.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lcforge", "lc", "--n", "2", "--bits", "1000"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert "L = 4" in proc.stdout
