@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
-from fractions import Fraction
 from hashlib import blake2b
 from math import sqrt
 from time import perf_counter
@@ -459,7 +458,9 @@ def proportion_interval(count: int, sample_size: int) -> tuple[float, float]:
 def interval_covers(
     count: int, sample_size: int, true_numerator: int, true_denominator: int
 ) -> bool:
-    """Exact-rational test that the three-sigma interval contains the truth."""
-    p_hat = Fraction(count, sample_size)
-    p = Fraction(true_numerator, true_denominator)
-    return (p_hat - p) ** 2 <= Fraction(9, sample_size) * p_hat * (1 - p_hat)
+    """Exact test that the three-sigma interval contains the truth.
+
+    (c/s - a/b)^2 <= 9/s * c/s * (1 - c/s), times s^3 b^2, in integers.
+    """
+    c, s, a, b = count, sample_size, true_numerator, true_denominator
+    return s * (c * b - a * s) ** 2 <= 9 * c * (s - c) * b * b

@@ -7,12 +7,15 @@ runs in the calling process; census, verify and refute accept --jobs
 and check it, so scripts may pass it, but it changes nothing.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
-finds a formula/census mismatch, 2 on invalid input, 130 on Ctrl-C.
+finds a formula/census mismatch, 2 on invalid input, 130 on Ctrl-C, 141
+when stdout is closed before the output is written (as `| head` does),
+with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -201,7 +204,7 @@ def _cmd_kerr(args) -> int:
         ("k", args.k),
         ("L", core.games_chan_lc(s)),
         ("Lk", result.value),
-        ("witness", list(result.witness.positions)),
+        ("witness", list(result.witness)),
     ]
     _emit_pairs(pairs, args.format)
     return 0
@@ -360,7 +363,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: the flush at exit goes nowhere, quietly,
+        # and the exit code is a shell's for a death by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (LcforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

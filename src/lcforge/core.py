@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable
 
 from .errors import (
@@ -35,10 +34,9 @@ MAX_EXPONENT = 20
 _NOT_BINARY = re.compile("[^01]")
 _NOT_HEX = re.compile("[^0-9a-fA-F]")
 
-# Conversions between positions as bytes 0/1 and as binary digits; the
-# digits go through int() and format(), which are linear in the period.
+# Marks as bytes 0/1 to binary digits, which int() reads in time linear
+# in the period.
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _check_exponent(exponent: int) -> None:
@@ -63,29 +61,10 @@ class PeriodicSequence:
         return 1 << self.exponent
 
     @classmethod
-    def zeros(cls, exponent: int) -> PeriodicSequence:
-        """The all-zero sequence of period 2^exponent."""
-        return cls(exponent, 0)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> PeriodicSequence:
-        """Build from one period given as 0/1 values, position 0 first."""
-        items = list(bits)
-        exponent = max(0, len(items) - 1).bit_length()
-        if len(items) != 1 << exponent:
-            raise InvalidPeriod(
-                f"period length must be a power of two, got {len(items)}"
-            )
-        for i, bit in enumerate(items):
-            if bit not in (0, 1):
-                raise InvalidDigit(f"bit at position {i} is {bit!r}, not 0/1")
-        digits = "".join("1" if bit else "0" for bit in reversed(items))
-        return cls(exponent, int(digits, 2))
-
-    @classmethod
     def from_support(cls, exponent: int, positions: Iterable[int]) -> PeriodicSequence:
         """Build the sequence whose ones sit exactly at the given positions."""
-        period = cls.zeros(exponent).period
+        _check_exponent(exponent)
+        period = 1 << exponent
         marks = bytearray(period)
         for pos in positions:
             if not 0 <= pos < period:
@@ -94,19 +73,6 @@ class PeriodicSequence:
                 raise InvalidSupport(f"position {pos} listed twice")
             marks[pos] = 1
         return cls(exponent, int(marks[::-1].translate(_TO_DIGITS), 2))
-
-    def _marks(self) -> bytes:
-        """One period as bytes 0/1, position 0 first."""
-        digits = format(self.value, f"0{self.period}b")[::-1]
-        return digits.encode("ascii").translate(_FROM_DIGITS)
-
-    def bits(self) -> tuple[int, ...]:
-        """One period as a tuple of 0/1 values, position 0 first."""
-        return tuple(self._marks())
-
-    def support(self) -> tuple[int, ...]:
-        """Positions of the ones, strictly increasing."""
-        return tuple(compress(range(self.period), self._marks()))
 
     def weight(self) -> int:
         """Number of ones in one period."""

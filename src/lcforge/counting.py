@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import comb
 
 from .errors import InvalidL, InvalidParams
@@ -132,27 +131,22 @@ def n2_lcless(n: int, L: int) -> int:
     return (1 << (L - 1)) * factor
 
 
-def _pow2(e: int) -> Fraction:
-    """2**e as an exact rational; e may be negative."""
-    return Fraction(2) ** e
-
-
 def f_term(n: int, m: int) -> int:
     """Bracket factor for the power-gap branch of n3_lcfull; needs 1 < m <= n."""
     if not 1 < m <= n:
         raise InvalidParams(f"need 1 < m <= n, got m={m}, n={n}")
-    total = (
+    # 2^(n-m-1) * C(2^(m-1), 3) halves the binomial when m = n; that
+    # binomial is always even, so the term is an integer
+    half_term, odd = divmod(comb(1 << (m - 1), 3) << (n - m), 2)
+    assert odd == 0
+    return (
         comb(1 << n, 3)
         - (1 << (n - m)) * comb(1 << m, 3)
         - comb(1 << (n - m), 2) * comb(1 << m, 2) * (1 << (m + 1))
         + comb(1 << (n - m), 2) * (1 << (2 * m)) * ((1 << (m - 2)) - 1)
-        + _pow2(n - m - 1) * comb(1 << (m - 1), 3)
+        + half_term
         - (1 << (n - 2)) * ((1 << (m - 2)) - 1)
     )
-    # the lone fractional term (m = n makes 2^(n-m-1) = 1/2) always
-    # multiplies an even binomial, so the sum is integral
-    assert total.denominator == 1
-    return int(total)
 
 
 def g_term(n: int, m: int) -> int:

@@ -12,9 +12,10 @@ total price within the budget, and the least total price that reaches
 it, in O(N).  With unit prices and budget k that is L_k, all that
 k_error_profile and k_min_search need.
 
-k_error_lc also reports a canonical witness: among the lightest patterns
+k_error_lc also reports a canonical witness, the positions to flip
+within one period as an increasing tuple: among the lightest patterns
 reaching L_k, the first in lexicographic position order (zero flips
-count, so an already minimal s gets the empty pattern).  Prices find it.
+count, so an already minimal s gets the empty tuple).  Prices find it.
 A flip costs one large price less a rebate, larger for earlier groups of
 positions, and no rebates add up to a price, so the cheapest pattern is
 a lightest one, and among those the one with the largest rebates.  The
@@ -36,50 +37,15 @@ import numpy as np
 
 from . import core
 from .core import PeriodicSequence
-from .errors import (
-    InvalidParams,
-    InvalidSupport,
-    NotFoundWithinCap,
-    UndefinedForZeroSequence,
-)
-
-
-@dataclass(frozen=True)
-class ErrorPattern:
-    """Positions to flip within one period, strictly increasing."""
-
-    positions: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(self.positions))
-        if any(p < 0 for p in self.positions):
-            raise InvalidSupport("positions must be non-negative")
-        if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
-            raise InvalidSupport("positions must be strictly increasing")
-
-    @property
-    def weight(self) -> int:
-        return len(self.positions)
-
-    def as_mask(self) -> int:
-        """The pattern as a packed period value (bit i = flip position i)."""
-        mask = 0
-        for p in self.positions:
-            mask |= 1 << p
-        return mask
-
-    def as_sequence(self, exponent: int) -> PeriodicSequence:
-        """The pattern as the sequence that is 1 exactly at the flip positions."""
-        return PeriodicSequence.from_support(exponent, self.positions)
+from .errors import InvalidParams, NotFoundWithinCap, UndefinedForZeroSequence
 
 
 @dataclass(frozen=True)
 class KErrorResult:
     """Outcome of a k-error search: the minimum and its first witness."""
 
-    k: int
     value: int
-    witness: ErrorPattern
+    witness: tuple[int, ...]
 
 
 def _price_type(budget: int, period: int):
@@ -196,13 +162,12 @@ def k_error_lc(s: PeriodicSequence, k: int) -> KErrorResult:
 
     Returns the smallest complexity over all patterns of at most k flips,
     together with the first achieving pattern in (weight, lexicographic
-    positions) order; zero flips count, so the witness for an already
-    minimal s is the empty pattern.
+    positions) order as an increasing tuple of positions; zero flips
+    count, so the witness for an already minimal s is ().
     """
     if not 0 <= k <= s.period:
         raise InvalidParams(f"k must be in [0, {s.period}], got {k}")
-    value, witness = _lightest_first(_bits(s), k)
-    return KErrorResult(k, value, ErrorPattern(witness))
+    return KErrorResult(*_lightest_first(_bits(s), k))
 
 
 def _unit_prices(s: PeriodicSequence) -> tuple[np.ndarray, np.ndarray]:

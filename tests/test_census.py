@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -378,6 +380,31 @@ class TestSampledCensus:
         assert 0.0 < lo < 0.5 < hi < 1.0
         assert interval_covers(0, 100, 0, 1)
         assert not interval_covers(0, 100, 1, 2)
+
+    def test_interval_covers_equals_the_rational_test(self):
+        def rational(c, s, a, b):
+            p_hat, p = Fraction(c, s), Fraction(a, b)
+            return (p_hat - p) ** 2 <= Fraction(9, s) * p_hat * (1 - p_hat)
+
+        cases = [
+            (c, s, a, b)
+            for s in range(1, 25)
+            for c in range(s + 1)
+            for b in (1, 2, 3, 7, 16)
+            for a in range(b + 1)
+        ]
+        rng = random.Random(3)
+        for _ in range(2000):
+            s, b = rng.randint(1, 10**6), rng.randint(1, 10**6)
+            c, a = rng.randint(0, s), rng.randint(0, b)
+            if rng.random() < 0.5:  # next to the estimate, where the bound bites
+                a = min(max(c * b // s + rng.randint(-2, 2), 0), b)
+            cases.append((c, s, a, b))
+        hits = 0
+        for case in cases:
+            hits += interval_covers(*case)
+            assert interval_covers(*case) == rational(*case), case
+        assert 0 < hits < len(cases)
 
 
 class TestSerialisation:

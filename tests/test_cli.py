@@ -522,6 +522,20 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "lc", "--n", "2", "--bits", "1000")
         assert (code, out, err) == (130, "", "error: interrupted\n")
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # more rows than a pipe holds, so writes meet the closed pipe
+        argv = ["profile", "--n", "14", "--hex", "0" * 4096, "--kmax", "16384"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lcforge", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+        )
+        assert proc.stdout.read(16).startswith(b"   k")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+
 
 def _outcome(capsys, argv):
     try:
@@ -557,8 +571,8 @@ class TestParser:
 class TestEntryPoint:
     def test_public_names_are_pinned(self):
         assert sorted(lcforge.__all__) == [
-            "CensusQuery", "CensusReport", "CensusRow", "ErrorPattern",
-            "Exhaustive", "KErrorResult", "LDecomposition", "LKind", "LSubcase",
+            "CensusQuery", "CensusReport", "CensusRow", "Exhaustive",
+            "KErrorResult", "LDecomposition", "LKind", "LSubcase",
             "MAX_EXPONENT", "PeriodicSequence", "RefutationReport",
             "RefutationRow", "Sampled", "SequenceClass", "census_distribution",
             "class_size", "decompose_L", "f_term", "formula_counts", "g_term",

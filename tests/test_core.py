@@ -39,18 +39,9 @@ class TestPeriodicSequence:
         with pytest.raises(InvalidPeriod):
             PeriodicSequence(2, -1)
 
-    def test_from_bits_round_trip(self):
-        s = PeriodicSequence.from_bits([1, 0, 1, 1])
-        assert s.exponent == 2 and s.value == 0b1101
-        assert s.bits() == (1, 0, 1, 1)
-        with pytest.raises(InvalidPeriod):
-            PeriodicSequence.from_bits([1, 0, 1])
-        with pytest.raises(InvalidDigit, match="position 2 is 2,"):
-            PeriodicSequence.from_bits([1, 0, 2, 0])
-
     def test_from_support(self):
         s = PeriodicSequence.from_support(4, (0, 12))
-        assert s.support() == (0, 12)
+        assert s.value == 1 | 1 << 12
         assert s.weight() == 2
         with pytest.raises(InvalidSupport, match="position 16 outside"):
             PeriodicSequence.from_support(4, (16,))
@@ -63,35 +54,23 @@ class TestPeriodicSequence:
         rng = random.Random(8)
         cases = [PeriodicSequence(n, v) for n in range(4) for v in range(1 << (1 << n))]
         cases += [PeriodicSequence(n, rng.getrandbits(1 << n)) for n in range(4, 9)]
+        cases.append(PeriodicSequence(20, random.Random(20).getrandbits(1 << 20)))
         for s in cases:
-            bits = tuple(s.value >> i & 1 for i in range(s.period))
-            support = tuple(i for i in range(s.period) if s.value >> i & 1)
-            assert s.bits() == bits
-            assert s.support() == support
-            assert PeriodicSequence.from_bits(list(bits)) == s
+            digits = format(s.value, f"0{s.period}b")[::-1]  # position 0 first
+            support = [i for i, digit in enumerate(digits) if digit == "1"]
+            assert len(support) == s.weight()
             assert PeriodicSequence.from_support(s.exponent, support[::-1]) == s
-
-    def test_conversions_round_trip_at_n20(self):
-        s = PeriodicSequence(20, random.Random(20).getrandbits(1 << 20))
-        bits, support = s.bits(), s.support()
-        assert len(bits) == 1 << 20 and sum(bits) == len(support) == s.weight()
-        assert PeriodicSequence.from_bits(bits) == s
-        assert PeriodicSequence.from_support(20, support) == s
-
-    def test_zeros(self):
-        assert PeriodicSequence.zeros(3).value == 0
-        assert PeriodicSequence.zeros(3).weight() == 0
 
 
 class TestParse:
     def test_binary_positions(self):
         s = parse_binary("1100000000000000", 4)
-        assert s.support() == (0, 1)
+        assert s.value == 0b11
 
     def test_hex_is_msb_first(self):
-        assert parse_hex("C000", 4).support() == (0, 1)
-        assert parse_hex("8000", 4).support() == (0,)
-        assert parse_hex("0001", 4).support() == (15,)
+        assert parse_hex("C000", 4).value == 0b11
+        assert parse_hex("8000", 4).value == 1
+        assert parse_hex("0001", 4).value == 1 << 15
 
     def test_binary_and_hex_agree(self):
         assert parse_hex("C000", 4) == parse_binary("1100000000000000", 4)
@@ -130,20 +109,20 @@ class TestParse:
 
 class TestAddAndHalve:
     def test_add_is_xor(self):
-        a = PeriodicSequence.from_bits([1, 1, 0, 0])
-        b = PeriodicSequence.from_bits([0, 1, 1, 0])
-        assert (a ^ b).bits() == (1, 0, 1, 0)
+        a = PeriodicSequence.from_support(2, (0, 1))
+        b = PeriodicSequence.from_support(2, (1, 2))
+        assert (a ^ b).value == 0b0101
         assert (a ^ a).value == 0
 
     def test_add_rejects_period_mismatch(self):
         with pytest.raises(PeriodMismatch):
-            PeriodicSequence.zeros(2) ^ PeriodicSequence.zeros(3)
+            PeriodicSequence(2, 0) ^ PeriodicSequence(3, 0)
 
 
 
 class TestGamesChan:
     def test_examples(self):
-        assert games_chan_lc(PeriodicSequence.zeros(4)) == 0
+        assert games_chan_lc(PeriodicSequence(4, 0)) == 0
         assert games_chan_lc(PeriodicSequence.from_support(4, (0,))) == 16
         assert games_chan_lc(PeriodicSequence.from_support(4, (0, 1))) == 15
         assert games_chan_lc(PeriodicSequence.from_support(4, (0, 12))) == 12
@@ -163,7 +142,7 @@ class TestGamesChan:
 
 class TestMinimalPolynomialOracle:
     def test_examples(self):
-        assert lc_by_minimal_polynomial(PeriodicSequence.zeros(3)) == 0
+        assert lc_by_minimal_polynomial(PeriodicSequence(3, 0)) == 0
         assert lc_by_minimal_polynomial(PeriodicSequence.from_support(4, (0, 1, 2, 3))) == 13
         s = PeriodicSequence.from_support(4, (0, 1))
         assert lc_by_minimal_polynomial(s) == games_chan_lc(s) == 15

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -200,6 +201,21 @@ class TestBracketTerms:
         for n in range(4, 9):
             N = 1 << n
             assert g_term(n, 2) == comb(N, 3) - 6 * (1 << (n - 3)) * (N - 4)
+
+    def test_f_equals_the_rational_bracket(self):
+        # the bracket as printed, with 2^(n-m-1) an exact rational: at
+        # m = n it is 1/2, and the integer form must halve exactly
+        for n in range(2, 21):
+            for m in range(2, n + 1):
+                bracket = (
+                    comb(1 << n, 3)
+                    - (1 << (n - m)) * comb(1 << m, 3)
+                    - comb(1 << (n - m), 2) * comb(1 << m, 2) * (1 << (m + 1))
+                    + comb(1 << (n - m), 2) * (1 << (2 * m)) * ((1 << (m - 2)) - 1)
+                    + Fraction(2) ** (n - m - 1) * comb(1 << (m - 1), 3)
+                    - (1 << (n - 2)) * ((1 << (m - 2)) - 1)
+                )
+                assert f_term(n, m) == bracket, (n, m)
 
     def test_never_negative(self):
         for n in range(2, 9):

@@ -1,19 +1,27 @@
-"""Properties of the k-error engine over random periods with n <= 8."""
+"""Properties of the complexity routes and the k-error engine over random
+periods with n <= 10."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kerror import brute_k_error
 
-from lcforge.core import PeriodicSequence, games_chan_lc
+from lcforge.core import PeriodicSequence, games_chan_lc, lc_by_minimal_polynomial
 from lcforge.kerror import k_error_lc, k_error_profile, k_min_formula, k_min_search
 
-# a hundred examples each keep the whole module under three seconds
+# a hundred examples each keep the whole module within a few seconds
 bounded = settings(max_examples=100, deadline=None)
 
 
 @st.composite
-def periods(draw):
-    n = draw(st.integers(0, 8))
+def periods(draw, n_max=8):
+    n = draw(st.integers(0, n_max))
     return PeriodicSequence(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+
+
+@bounded
+@given(periods(n_max=10))
+def test_halving_equals_minimal_polynomial(s):
+    assert games_chan_lc(s) == lc_by_minimal_polynomial(s)
 
 
 @st.composite
@@ -52,9 +60,17 @@ def test_value_is_invariant_under_cyclic_shift(s_and_k, shift):
 def test_witness_reaches_the_value(s_and_k):
     s, k = s_and_k
     result = k_error_lc(s, k)
-    assert result.witness.weight <= k
-    flipped = PeriodicSequence(s.exponent, s.value ^ result.witness.as_mask())
+    assert len(result.witness) <= k
+    flipped = s ^ PeriodicSequence.from_support(s.exponent, result.witness)
     assert games_chan_lc(flipped) == result.value
+
+
+@bounded
+@given(periods(n_max=4), st.integers(0, 2))
+def test_value_and_witness_equal_brute_force(s, k):
+    k = min(k, s.period)
+    result = k_error_lc(s, k)
+    assert (result.value, result.witness) == brute_k_error(s, k)
 
 
 @bounded
