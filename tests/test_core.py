@@ -54,12 +54,19 @@ class TestPeriodicSequence:
         rng = random.Random(8)
         cases = [PeriodicSequence(n, v) for n in range(4) for v in range(1 << (1 << n))]
         cases += [PeriodicSequence(n, rng.getrandbits(1 << n)) for n in range(4, 9)]
-        cases.append(PeriodicSequence(20, random.Random(20).getrandbits(1 << 20)))
         for s in cases:
             digits = format(s.value, f"0{s.period}b")[::-1]  # position 0 first
             support = [i for i, digit in enumerate(digits) if digit == "1"]
             assert len(support) == s.weight()
             assert PeriodicSequence.from_support(s.exponent, support[::-1]) == s
+
+    def test_conversions_round_trip_at_n20(self):
+        s = PeriodicSequence(20, random.Random(20).getrandbits(1 << 20))
+        digits = format(s.value, f"0{s.period}b")[::-1]  # position 0 first
+        support = [i for i, digit in enumerate(digits) if digit == "1"]
+        assert len(digits) == 1 << 20 and digits.count("1") == len(support) == s.weight()
+        assert PeriodicSequence.from_support(20, support) == s
+        assert PeriodicSequence.from_support(20, support[::-1]) == s
 
 
 class TestParse:
