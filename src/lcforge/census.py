@@ -21,12 +21,16 @@ verify_formulas joins a census with the closed forms from
 lcforge.counting, and refutation_report reruns the period-16 3-error
 census against both the closed form and the previously published table
 it contradicts.
+
+Each report builds one payload dict, and render turns any payload into
+JSON or CSV: JSON is the whole payload, CSV its rows (or the payload as
+one row) with the row keys as columns.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
 from math import sqrt
@@ -130,37 +134,28 @@ class CensusReport:
     def sample_size(self) -> int | None:
         return self.mode.count if isinstance(self.mode, Sampled) else None
 
-    def interval(self, row: CensusRow) -> tuple[float, float] | None:
-        """Display interval around a sampled row's proportion, else None."""
+    def payload(self) -> dict:
+        """The report as data; a sampled row also carries its interval."""
+        rows = [dict(vars(row)) for row in self.rows]
         size = self.sample_size
-        if size is None:
-            return None
-        return proportion_interval(row.census, size)
-
-    def to_csv(self) -> str:
-        return render_csv(_field_names(CensusRow), map(astuple, self.rows))
-
-    def to_json(self) -> str:
-        if isinstance(self.mode, Sampled):
-            mode = {"kind": "sampled", "count": self.mode.count, "seed": self.mode.seed}
-        else:
-            mode = {"kind": "exhaustive"}
-        rows = []
-        for row in self.rows:
-            item = asdict(row)
-            interval = self.interval(row)
-            if interval is not None:
-                item["interval"] = list(interval)
-            rows.append(item)
-        payload = {
+        if size is not None:
+            for item in rows:
+                item["interval"] = list(proportion_interval(item["census"], size))
+        return {
             "n": self.n,
             "k": self.k,
             "class": self.seq_class.value,
-            "mode": mode,
+            # "exhaustive", or "sampled" with its count and seed
+            "mode": {"kind": type(self.mode).__name__.lower(), **vars(self.mode)},
             "rows": rows,
             "totals": {"census": self.census_total, "formula": self.formula_total},
         }
-        return render_json(payload)
+
+    def to_csv(self) -> str:
+        return render("csv", self.payload())
+
+    def to_json(self) -> str:
+        return render("json", self.payload())
 
 
 def render_json(payload) -> str:
@@ -176,15 +171,25 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _field_names(row_type) -> list[str]:
-    return [field.name for field in fields(row_type)]
-
-
 def render_csv(header, rows) -> str:
     """The one CSV renderer: None is empty, a list joins its items with spaces."""
     lines = [",".join(header)]
     lines += [",".join(map(_csv_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def render(fmt: str, payload: dict) -> str:
+    """A payload as "json" (all of it) or "csv".
+
+    CSV is the payload's rows, or the payload itself as one row; the
+    columns are the first row's keys in order, less the JSON-only
+    interval.
+    """
+    if fmt == "json":
+        return render_json(payload)
+    rows = payload.get("rows", [payload])
+    header = [key for key in rows[0] if key != "interval"]
+    return render_csv(header, ([row[key] for key in header] for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +225,11 @@ def _lucas(words: np.ndarray, n: int) -> np.ndarray:
     return words
 
 
+def _light_words(n: int, k: int, parity: int | None) -> np.ndarray:
+    """The sorted (1+x)^j words of every pattern of weight <= k (and that parity)."""
+    return np.sort(_lucas(_pattern_words(n, k, parity), n))
+
+
 def _coset_tally(n: int, k: int, seq_class: SequenceClass) -> list[int]:
     """Exact per-L census of the class, counted by cosets of (1+x)^m.
 
@@ -233,10 +243,9 @@ def _coset_tally(n: int, k: int, seq_class: SequenceClass) -> list[int]:
     and the less class even-weight ones.
     """
     period = 1 << n
-    words = _lucas(_pattern_words(n, k, _CLASS_PARITY.get(seq_class)), n)
+    words = _light_words(n, k, _CLASS_PARITY.get(seq_class))
     if not len(words):  # the full class with k = 0
         return [0] * period + [class_size(n, seq_class)]
-    words.sort()
     # bit length of each adjacent XOR, 0 for a repeated word; frexp is
     # exact below 2^53 (n <= 5), here and in _sampled_tally
     _, lengths = np.frexp(words[1:] ^ words[:-1])
@@ -275,7 +284,7 @@ def _sampled_tally(
 ) -> list[int]:
     """Per-L tally of the first `count` draws, scored by their nearest light words."""
     # all patterns of weight <= k, whatever the class: 0 is always one
-    light = np.sort(_lucas(_pattern_words(n, k, None), n))
+    light = _light_words(n, k, None)
     tally = np.zeros((1 << n) + 1, dtype=np.int64)
     for start in range(0, count, _BLOCK_ROWS):
         end = min(count, start + _BLOCK_ROWS)
@@ -402,15 +411,13 @@ class RefutationReport:
     def mismatched_L(self) -> tuple[int, ...]:
         return tuple(row.L for row in self.rows if row.fixture != row.census)
 
-    def to_csv(self) -> str:
-        return render_csv(_field_names(RefutationRow), map(astuple, self.rows))
-
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The report as data."""
+        return {
             "n": 4,
             "k": 3,
             "class": SequenceClass.ALL.value,
-            "rows": [asdict(row) for row in self.rows],
+            "rows": [dict(vars(row)) for row in self.rows],
             "totals": {
                 "census": self.census_total,
                 "theorem": self.theorem_total,
@@ -418,7 +425,12 @@ class RefutationReport:
             },
             "mismatched_L": list(self.mismatched_L),
         }
-        return render_json(payload)
+
+    def to_csv(self) -> str:
+        return render("csv", self.payload())
+
+    def to_json(self) -> str:
+        return render("json", self.payload())
 
 
 def refutation_report() -> RefutationReport:

@@ -2,7 +2,9 @@
 
 Subcommands: lc, kerr, profile (single-sequence analysis), count (closed
 forms), census, verify, refute (distribution work).  Every subcommand
-renders as an aligned table, JSON, or CSV via --format.  Every census
+builds one payload and its table lines and hands both to _emit, the one
+reader of --format: the table prints the lines, JSON and CSV render the
+payload (census.render; a census report renders itself).  Every census
 runs in the calling process; census, verify and refute accept --jobs
 and check it, so scripts may pass it, but it changes nothing.
 
@@ -28,9 +30,8 @@ from .census import (
     Sampled,
     SequenceClass,
     census_distribution,
+    proportion_interval,
     refutation_report,
-    render_csv,
-    render_json,
     verify_formulas,
 )
 from .errors import InvalidParams, LcforgeError
@@ -162,71 +163,62 @@ def _check_jobs(args) -> None:
         raise InvalidParams(f"--jobs must be at least 1, got {args.jobs}")
 
 
-def _emit_pairs(pairs, fmt: str) -> None:
-    """Render a small key/value result: aligned lines, JSON, or one CSV row."""
-    if fmt == "json":
-        print(render_json(dict(pairs)))
-    elif fmt == "csv":
-        keys, values = zip(*pairs)
-        print(render_csv(keys, [values]), end="")
+def _emit(fmt: str, payload, lines=None) -> None:
+    """Print a result in the --format asked for; nothing else reads it.
+
+    `payload` is a dict for census.render, or a census report, which
+    renders itself through to_json and to_csv.  The table is `lines`,
+    by default one "key = value" line per payload item.
+    """
+    if fmt == "table":
+        text = "\n".join(lines or (f"{key} = {val}" for key, val in payload.items()))
+    elif isinstance(payload, dict):
+        text = census_mod.render(fmt, payload)
+    elif fmt == "json":
+        text = payload.to_json()
     else:
-        for key, value in pairs:
-            print(f"{key} = {_table_cell(value)}")
-
-
-def _table_cell(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(str(v) for v in value) + "]"
-    return str(value)
-
-
-def _class_label(s: core.PeriodicSequence) -> str:
-    return "FullLC" if s.weight() & 1 else "LessLC"
+        text = payload.to_csv()
+    print(text.removesuffix("\n"))
 
 
 def _cmd_lc(args) -> int:
     s = _load_sequence(args)
-    pairs = [
-        ("n", args.n),
-        ("L", core.games_chan_lc(s)),
-        ("weight", s.weight()),
-        ("class", _class_label(s)),
-    ]
-    _emit_pairs(pairs, args.format)
+    payload = {
+        "n": args.n,
+        "L": core.games_chan_lc(s),
+        "weight": s.weight(),
+        "class": "FullLC" if s.weight() & 1 else "LessLC",
+    }
+    _emit(args.format, payload)
     return 0
 
 
 def _cmd_kerr(args) -> int:
     s = _load_sequence(args)
     result = kerror.k_error_lc(s, args.k)
-    pairs = [
-        ("n", args.n),
-        ("k", args.k),
-        ("L", core.games_chan_lc(s)),
-        ("Lk", result.value),
-        ("witness", list(result.witness)),
-    ]
-    _emit_pairs(pairs, args.format)
+    payload = {
+        "n": args.n,
+        "k": args.k,
+        "L": core.games_chan_lc(s),
+        "Lk": result.value,
+        "witness": list(result.witness),
+    }
+    _emit(args.format, payload)
     return 0
 
 
 def _cmd_profile(args) -> int:
     s = _load_sequence(args)
     profile = kerror.k_error_profile(s, args.kmax)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "kmax": args.kmax,
-            "rows": [{"k": k, "Lk": value} for k, value in profile],
-        }
-        print(render_json(payload))
-    elif args.format == "csv":
-        print(render_csv(("k", "Lk"), profile), end="")
-    else:
-        width = len(str(1 << args.n))
-        print(f"{'k':>4}  {'L_k':>{width}}")
-        for k, value in profile:
-            print(f"{k:>4}  {value:>{width}}")
+    payload = {
+        "n": args.n,
+        "kmax": args.kmax,
+        "rows": [{"k": k, "Lk": value} for k, value in profile],
+    }
+    width = len(str(1 << args.n))
+    lines = [f"{'k':>4}  {'L_k':>{width}}"]
+    lines += [f"{k:>4}  {value:>{width}}" for k, value in profile]
+    _emit(args.format, payload, lines)
     return 0
 
 
@@ -256,96 +248,69 @@ def _cmd_count(args) -> int:
     if not 0 <= args.L <= 1 << args.n:
         raise InvalidParams(f"--L must be in [0, {1 << args.n}], got {args.L}")
     count = formula(args.n, args.L)
+    payload = {
+        "n": args.n,
+        "L": args.L,
+        "k": args.k,
+        "class": seq_class.value,
+        "count": count,
+    }
     with _whole_decimals():
-        if args.format == "table":
-            print(count)
-        else:
-            pairs = [
-                ("n", args.n),
-                ("L", args.L),
-                ("k", args.k),
-                ("class", seq_class.value),
-                ("count", count),
-            ]
-            _emit_pairs(pairs, args.format)
+        _emit(args.format, payload, [str(count)])
     return 0
 
 
-def _print_census_table(report) -> None:
-    size = report.sample_size
-    widths = [len(str(1 << report.n)) + 1, 12, 12, 9]
-    header = (
-        f"{'L':>{widths[0]}} {'census':>{widths[1]}}"
-        f" {'formula':>{widths[2]}} {'verdict':<{widths[3]}}"
-    )
-    if size is not None:
-        header += f" {'3s-interval':<22}"
-    print(header.rstrip())
+def _census_lines(report) -> list[str]:
+    size, width = report.sample_size, len(str(1 << report.n)) + 1
+    interval = "" if size is None else "   3s-interval"
+    lines = [f"{'L':>{width}} {'census':>12} {'formula':>12} verdict{interval}"]
     for row in report.rows:
-        formula = "-" if row.formula is None else str(row.formula)
-        line = (
-            f"{row.L:>{widths[0]}} {row.census:>{widths[1]}}"
-            f" {formula:>{widths[2]}} {row.verdict:<{widths[3]}}"
-        )
+        formula = "-" if row.formula is None else row.formula
+        line = f"{row.L:>{width}} {row.census:>12} {formula:>12} {row.verdict:<9}"
         if size is not None:
-            lo, hi = report.interval(row)
-            line += f" [{lo:.5f}, {hi:.5f}]"
-        print(line.rstrip())
-    totals_formula = report.formula_total
-    print(
-        f"total: census {report.census_total}"
-        + ("" if totals_formula is None else f", formula {totals_formula}")
-    )
-    print(f"elapsed: {report.elapsed:.3f}s")
-
-
-def _emit_report(report, fmt: str, print_table) -> None:
-    if fmt == "json":
-        print(report.to_json())
-    elif fmt == "csv":
-        print(report.to_csv(), end="")
-    else:
-        print_table(report)
+            line += " [{:.5f}, {:.5f}]".format(*proportion_interval(row.census, size))
+        lines.append(line.rstrip())
+    total = f"total: census {report.census_total}"
+    if report.formula_total is not None:
+        total += f", formula {report.formula_total}"
+    return [*lines, total, f"elapsed: {report.elapsed:.3f}s"]
 
 
 def _cmd_census(args) -> int:
-    if args.mode == "sampled":
-        mode = Sampled(args.samples, args.seed)
-    else:
-        mode = Exhaustive()
+    mode = Sampled(args.samples, args.seed) if args.mode == "sampled" else Exhaustive()
     query = CensusQuery(args.n, args.k, SequenceClass(args.seq_class), mode)
     _check_jobs(args)  # after the query, whose errors are reported first
     report = census_distribution(query)
-    _emit_report(report, args.format, _print_census_table)
+    _emit(args.format, report, _census_lines(report))
     return 0
 
 
 def _cmd_verify(args) -> int:
     _check_jobs(args)
     report = verify_formulas(args.n, args.k, SequenceClass(args.seq_class))
-    _emit_report(report, args.format, _print_census_table)
+    _emit(args.format, report, _census_lines(report))
     return 0 if report.all_match else 1
 
 
-def _print_refutation_table(report) -> None:
-    print(f"{'L':>3} {'census':>8} {'theorem':>8} {'fixture':>8} verdict")
-    for row in report.rows:
-        print(
+def _refutation_lines(report) -> list[str]:
+    return [
+        f"{'L':>3} {'census':>8} {'theorem':>8} {'fixture':>8} verdict",
+        *(
             f"{row.L:>3} {row.census:>8} {row.theorem:>8}"
             f" {row.fixture:>8} {row.verdict}"
-        )
-    print(
+            for row in report.rows
+        ),
         f"total: census {report.census_total}, theorem {report.theorem_total},"
-        f" fixture {report.fixture_total}"
-    )
-    print(f"fixture disagrees at L = {_table_cell(list(report.mismatched_L))}")
-    print(f"elapsed: {report.elapsed:.3f}s")
+        f" fixture {report.fixture_total}",
+        f"fixture disagrees at L = {list(report.mismatched_L)}",
+        f"elapsed: {report.elapsed:.3f}s",
+    ]
 
 
 def _cmd_refute(args) -> int:
     _check_jobs(args)
     report = refutation_report()
-    _emit_report(report, args.format, _print_refutation_table)
+    _emit(args.format, report, _refutation_lines(report))
     return 0
 
 

@@ -10,7 +10,8 @@ given one period or a batch of them, a price for flipping each position
 and a budget, it returns per period the least complexity reachable at a
 total price within the budget, and the least total price that reaches
 it, in O(N).  With unit prices and budget k that is L_k, all that
-k_error_profile and k_min_search need.
+k_min_search needs, and the fewest flips that reach it, which give
+k_error_profile a whole run of equal values per call.
 
 k_error_lc also reports a canonical witness, the positions to flip
 within one period as an increasing tuple: among the lightest patterns
@@ -180,13 +181,14 @@ def k_error_profile(s: PeriodicSequence, k_max: int) -> list[tuple[int, int]]:
     if not 0 <= k_max <= s.period:
         raise InvalidParams(f"k_max must be in [0, {s.period}], got {k_max}")
     bits, unit = _unit_prices(s)
-    profile: list[tuple[int, int]] = []
-    value = None
-    for k in range(k_max + 1):
-        if value != 0:
-            value = int(_stamp_martin(bits, unit, k)[0])
-        profile.append((k, value))
-    return profile
+    values = [0] * (k_max + 1)
+    k = k_max
+    while k >= 0:  # one kernel call per distinct value, from k_max down
+        value, spent = map(int, _stamp_martin(bits, unit, k))
+        # L_j >= L_k = value for j <= k, and `spent` flips already reach it
+        values[spent : k + 1] = [value] * (k + 1 - spent)
+        k = spent - 1
+    return list(enumerate(values))
 
 
 def k_min_formula(s: PeriodicSequence) -> int:

@@ -430,6 +430,21 @@ class TestSerialisation:
         assert text == "a,b,c\n,1 20,x\n0,,5\n"
         assert render_csv(("k", "Lk"), []) == "k,Lk\n"
 
+    def test_render_csv_is_the_rows_or_the_payload_as_one_row(self):
+        payload = {"n": 2, "rows": [{"L": 0, "census": 3, "interval": [0.5, 1.0]}]}
+        assert census.render("json", payload) == render_json(payload)
+        # the JSON-only interval is no column
+        assert census.render("csv", payload) == "L,census\n0,3\n"
+        row = {"n": 4, "witness": [1, 6], "formula": None}
+        assert census.render("csv", row) == "n,witness,formula\n4,1 6,\n"
+
+    def test_reports_render_their_payload(self, report):
+        sampled = census_distribution(CensusQuery(3, 1, LESS, Sampled(32, seed=2)))
+        for each in (sampled, verify_formulas(3, 2, LESS), report):
+            payload = each.payload()
+            assert each.to_json() == census.render("json", payload)
+            assert each.to_csv() == census.render("csv", payload)
+
     def test_stable_json_excludes_timing(self):
         report = exhaustive(2, 1, ALL)
         assert "elapsed_seconds" not in json.loads(report.to_json())

@@ -319,6 +319,45 @@ class TestProfile:
             profile = k_error_profile(s, 4)
             assert profile == [(k, k_error_lc(s, k).value) for k in range(5)]
 
+    def test_matches_per_k_kernel(self):
+        def per_k(s):
+            bits, unit = kerror._unit_prices(s)
+            return [
+                (k, int(kerror._stamp_martin(bits, unit, k)[0]))
+                for k in range(s.period + 1)
+            ]
+
+        for n in range(4):
+            for value in range(1 << (1 << n)):
+                s = PeriodicSequence(n, value)
+                expected = per_k(s)
+                for k_max in range(s.period + 1):
+                    assert k_error_profile(s, k_max) == expected[: k_max + 1]
+        rng = random.Random(12)
+        for _ in range(20):
+            s = PeriodicSequence(6, rng.getrandbits(64))
+            assert k_error_profile(s, 64) == per_k(s)
+
+    def test_one_kernel_call_per_distinct_value(self, monkeypatch):
+        budgets = []
+        real = kerror._stamp_martin
+
+        def counted(bits, cost, budget):
+            budgets.append(budget)
+            return real(bits, cost, budget)
+
+        monkeypatch.setattr(kerror, "_stamp_martin", counted)
+        # 15 at k = 0, 1 and 0 from k = 2: one call per value, from k_max down
+        s = PeriodicSequence.from_support(4, (0, 1))
+        profile = k_error_profile(s, 16)
+        assert profile == [(0, 15), (1, 15)] + [(k, 0) for k in range(2, 17)]
+        assert budgets == [16, 1]
+        rng = random.Random(4)
+        for _ in range(10):
+            budgets.clear()
+            profile = k_error_profile(PeriodicSequence(8, rng.getrandbits(256)), 256)
+            assert len(budgets) == len({value for _, value in profile})
+
 
 class TestParityIdentities:
     def test_even_weight_odd_flip_never_helps(self):
