@@ -1,5 +1,7 @@
 """Linear complexity and k-error linear complexity of 2^n-periodic binary sequences."""
 
+import importlib
+
 from .core import (
     MAX_EXPONENT,
     PeriodicSequence,
@@ -24,13 +26,6 @@ from .counting import (
     n3_lcfull,
     n3_total,
     rueppel_count,
-)
-from .kerror import (
-    KErrorResult,
-    k_error_lc,
-    k_error_profile,
-    k_min_formula,
-    k_min_search,
 )
 from .census import (
     CensusQuery,
@@ -95,3 +90,17 @@ __all__ = [
     "rueppel_count",
     "verify_formulas",
 ]
+
+
+def __getattr__(name):
+    # Every other name of __all__ is bound above, so one that reaches here
+    # is kerror's: loaded on first use, as it loads numpy.  import_module,
+    # since `from . import kerror` would look the name up here again.
+    if name == "kerror" or name in __all__:
+        kerror = importlib.import_module(".kerror", __name__)
+        return kerror if name == "kerror" else getattr(kerror, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

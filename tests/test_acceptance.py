@@ -9,7 +9,7 @@ import random
 from contextlib import contextmanager
 from itertools import combinations
 
-from lcforge import census
+from lcforge import cosets
 from lcforge.census import (
     CensusQuery,
     Exhaustive,
@@ -164,7 +164,7 @@ def test_criterion_8_counting_totals_and_additivity():
 
 def test_criterion_9_census_is_worker_count_invariant(capsys, monkeypatch):
     with criterion(9, "census bytes identical across --jobs 1, 4, 8 and draw blocks"):
-        default = census._BLOCK_ROWS
+        default = cosets._BLOCK_ROWS
         for argv, block_rows in (
             (["--n", "4", "--k", "3"], (default,)),
             (["--n", "5", "--k", "2", "--mode", "sampled", "--samples", "3000"],
@@ -172,7 +172,7 @@ def test_criterion_9_census_is_worker_count_invariant(capsys, monkeypatch):
         ):
             printed = set()
             for rows in block_rows:
-                monkeypatch.setattr(census, "_BLOCK_ROWS", rows)
+                monkeypatch.setattr(cosets, "_BLOCK_ROWS", rows)
                 for jobs in ("1", "4", "8"):
                     for fmt in ("json", "csv"):
                         assert main(["census", *argv, "--jobs", jobs, "--format", fmt]) == 0

@@ -7,9 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcforge import census
+from lcforge import census, cosets
 from lcforge.census import (
-    _draws,
     CensusQuery,
     Exhaustive,
     Sampled,
@@ -25,6 +24,7 @@ from lcforge.census import (
     verify_formulas,
 )
 from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
+from lcforge.cosets import _draws
 from lcforge.cli import main
 from lcforge.counting import kavuluru_table1, n3_lcfull, n3_total, rueppel_count
 from lcforge.errors import InvalidParams, NoFormulaAvailable, TooLarge
@@ -148,8 +148,8 @@ def _kernel_lc(values, n, k):
 def _sampled_tally(monkeypatch, values, n, k, seq_class):
     """The sampled census scorer's tally of the given packed periods."""
     # _draws returns a fresh array, which the scorer transforms in place
-    monkeypatch.setattr(census, "_draws", lambda seed, lo, hi, *_: values[lo:hi].copy())
-    return census._sampled_tally(n, k, seq_class, 0, len(values))
+    monkeypatch.setattr(cosets, "_draws", lambda seed, lo, hi, *_: values[lo:hi].copy())
+    return cosets._sampled_tally(n, k, seq_class, 0, len(values))
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +305,7 @@ class TestSampledCensus:
         ]
         default = [census_bytes(query) for query in queries]
         for rows in (7, 1000):
-            monkeypatch.setattr(census, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(cosets, "_BLOCK_ROWS", rows)
             assert [census_bytes(query) for query in queries] == default, rows
 
     def test_draws_are_pinned(self):

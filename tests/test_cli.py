@@ -586,6 +586,61 @@ class TestEntryPoint:
         for name in lcforge.__all__:
             assert getattr(lcforge, name) is not None, name
 
+    @pytest.mark.parametrize(
+        "script",
+        [
+            # the package as read before anything imported lcforge.kerror
+            "import sys\n"
+            "import lcforge\n"
+            "assert set(lcforge.__all__) <= set(dir(lcforge))\n"
+            "try:\n"
+            "    lcforge.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert str(exc) == \"module 'lcforge' has no attribute 'no_such_name'\"\n"
+            "else:\n"
+            "    raise AssertionError('no AttributeError')\n"
+            "assert 'lcforge.kerror' not in sys.modules and 'numpy' not in sys.modules\n"
+            "assert lcforge.kerror is sys.modules['lcforge.kerror']\n"
+            "for name in lcforge.__all__:\n"
+            "    assert getattr(lcforge, name) is not None, name\n",
+            "import lcforge\n"
+            "from lcforge import *\n"
+            "assert all(name in globals() for name in lcforge.__all__)\n",
+        ],
+        ids=["attributes", "star-import"],
+    )
+    def test_package_surface_from_a_cold_start(self, script):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_numpy_loads_only_for_kerr_and_censuses(self):
+        # a fresh interpreter, so no other test has imported numpy
+        script = (
+            "import sys\n"
+            "from lcforge import cli\n"
+            "for fmt in ('table', 'json'):\n"
+            "    assert cli.main(['lc', '--n', '3', '--bits', '01101001',"
+            " '--format', fmt]) == 0\n"
+            "    assert cli.main(['count', '--n', '12', '--k', '3', '--L', '4000',"
+            " '--format', fmt]) == 0\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            "codes = [cli.main(['kerr', '--n', '3', '--bits', '01101001', '--k', '1']),"
+            " cli.main(['census', '--n', '3', '--k', '2'])]\n"
+            "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == "False\n[0, 0] True\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(
