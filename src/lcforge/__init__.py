@@ -22,9 +22,7 @@ from .counting import (
     kavuluru_table1,
     n1_lcfull,
     n2_lcless,
-    n2_total,
     n3_lcfull,
-    n3_total,
     rueppel_count,
 )
 from .census import (
@@ -80,9 +78,7 @@ __all__ = [
     "lc_quad",
     "n1_lcfull",
     "n2_lcless",
-    "n2_total",
     "n3_lcfull",
-    "n3_total",
     "parse_binary",
     "parse_hex",
     "proportion_interval",

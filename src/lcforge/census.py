@@ -39,6 +39,11 @@ class SequenceClass(Enum):
     FULL_LC = "full"  # odd weight per period: complexity is exactly 2^n
     LESS_LC = "less"  # even weight: complexity is below 2^n
 
+    @property
+    def parity(self) -> int | None:
+        """The weight parity of every member: 1, 0, or None for all."""
+        return {"full": 1, "less": 0}.get(self.value)
+
 
 @dataclass(frozen=True)
 class Exhaustive:
@@ -197,7 +202,7 @@ def census_distribution(query: CensusQuery) -> CensusReport:
 
 def class_size(n: int, seq_class: SequenceClass) -> int:
     """Number of sequences of period 2^n in the class."""
-    if seq_class is SequenceClass.ALL:
+    if seq_class.parity is None:
         return 1 << (1 << n)
     return 1 << ((1 << n) - 1)
 
@@ -209,21 +214,40 @@ _FORMULAS = {
     (0, SequenceClass.ALL): counting.rueppel_count,
     (1, SequenceClass.FULL_LC): counting.n1_lcfull,
     (2, SequenceClass.LESS_LC): counting.n2_lcless,
-    # one flip already makes an odd weight even; a second never helps
-    (2, SequenceClass.FULL_LC): counting.n1_lcfull,
-    (2, SequenceClass.ALL): counting.n2_total,
-    # an odd number of flips on an even weight lands on full complexity
-    (3, SequenceClass.LESS_LC): counting.n2_lcless,
     (3, SequenceClass.FULL_LC): counting.n3_lcfull,
-    (3, SequenceClass.ALL): counting.n3_total,
-    # three flips already make an odd weight even; a fourth never helps
-    (4, SequenceClass.FULL_LC): counting.n3_lcfull,
 }
 
 
-def closed_form(k: int, seq_class: SequenceClass):
-    """The count function (n, L) -> int for (k, class), or NoFormulaAvailable."""
+def _derived(k: int, seq_class: SequenceClass):
+    """The count function for (k, class) by the rules of closed_form, or None."""
+    parity = seq_class.parity
+    if parity is not None and k >= 1 and k & 1 != parity:
+        k -= 1
     formula = _FORMULAS.get((k, seq_class))
+    if formula is None and parity is None:
+        less = _derived(k, SequenceClass.LESS_LC)
+        full = _derived(k, SequenceClass.FULL_LC)
+        if less and full:
+            return lambda n, L: less(n, L) + full(n, L)
+    return formula
+
+
+def closed_form(k: int, seq_class: SequenceClass):
+    """The count function (n, L) -> int for (k, class), or NoFormulaAvailable.
+
+    _FORMULAS holds the independent formulas, and two rules serve every
+    other pair from them:
+
+    * on a parity class, a k >= 1 of the other parity counts as k - 1.
+      A pattern of the other weight parity leaves an odd weight, and so
+      full complexity, which never lowers L_k.  So on the even-weight
+      class the 3-error count is the 2-error count, and on the
+      odd-weight class the 2-error count is the 1-error count and the
+      4-error count the 3-error count;
+    * `all` is the sum of the `less` and `full` functions, when both
+      exist.
+    """
+    formula = _derived(k, seq_class)
     if formula is None:
         raise NoFormulaAvailable(
             f"no closed form for k={k} on class '{seq_class.value}'"
@@ -324,10 +348,11 @@ def refutation_report() -> RefutationReport:
     full complexity), so those rows carry the whole distribution.
     """
     report = census_distribution(CensusQuery(4, 3, SequenceClass.ALL, Exhaustive()))
+    totals = closed_form(3, SequenceClass.ALL)
     rows = []
     for L in range(16):
         census = report.rows[L].census
-        theorem = counting.n3_total(4, L)
+        theorem = totals(4, L)
         fixture = counting.kavuluru_table1(L)
         if census != theorem:
             verdict = "TheoremMismatch"

@@ -26,9 +26,6 @@ from .census import SequenceClass, class_size
 _BLOCK_ROWS = 1 << 13
 
 
-_CLASS_PARITY = {SequenceClass.FULL_LC: 1, SequenceClass.LESS_LC: 0}
-
-
 def _pattern_words(n: int, k: int, parity: int | None) -> np.ndarray:
     """Every pattern of weight <= k (of that parity, if given), packed."""
     bits = np.uint64(1) << np.arange(1 << n, dtype=np.uint64)
@@ -73,7 +70,7 @@ def _coset_tally(n: int, k: int, seq_class: SequenceClass) -> list[int]:
     and the less class even-weight ones.
     """
     period = 1 << n
-    words = _light_words(n, k, _CLASS_PARITY.get(seq_class))
+    words = _light_words(n, k, seq_class.parity)
     if not len(words):  # the full class with k = 0
         return [0] * period + [class_size(n, seq_class)]
     # bit length of each adjacent XOR, 0 for a repeated word; frexp is
@@ -101,11 +98,11 @@ def _draws(seed: int, lo: int, hi: int, n: int, seq_class: SequenceClass) -> np.
         draw.update(index.to_bytes(8, "big"))
         digests += draw.digest()
     words = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
-    period = 1 << n
-    if seq_class is SequenceClass.ALL:
+    period, parity = 1 << n, seq_class.parity
+    if parity is None:
         return words & np.uint64((1 << period) - 1)
     free = words & np.uint64((1 << (period - 1)) - 1)
-    top = ((np.bitwise_count(free) & 1) ^ _CLASS_PARITY[seq_class]).astype(np.uint64)
+    top = ((np.bitwise_count(free) & 1) ^ parity).astype(np.uint64)
     return free | top << np.uint64(period - 1)
 
 

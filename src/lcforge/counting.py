@@ -14,14 +14,8 @@ writes uniquely as L = 2^n - 2^r + c with 2 <= r <= n and
 1 <= c <= 2^(r-1) - 1, and the shape of c inside that range decides the
 branch.  decompose_L exposes the decomposition.
 
-Only the independent per-class formulas live here.  Counts come in
-parity-linked pairs: flipping one extra position moves a period across
-the parity classes, so on the even-weight class the 3-error count equals
-the 2-error count, and on the odd-weight class the 2-error count equals
-the 1-error count and the 4-error count equals the 3-error count.  Those
-pairs are rows of census._FORMULAS that name the formula they equal.
-The *_total functions cover both classes at once as the sum of the
-even-weight and the odd-weight count.
+Only the independent formulas live here; census.closed_form derives
+the counts of the other (k, class) pairs from them.
 
 kavuluru_table1 is different in kind: it reproduces a previously
 published 3-error distribution for period 16 verbatim, as a fixture.
@@ -179,25 +173,9 @@ def n3_lcfull(n: int, L: int) -> int:
     return (1 << (L - 1)) * g_term(d.r, d.m)
 
 
-def n2_total(n: int, L: int) -> int:
-    """All sequences counted by 2-error complexity (both parity classes).
-
-    The odd-weight count is n1_lcfull: a second flip is never useful there.
-    """
-    return n2_lcless(n, L) + n1_lcfull(n, L)
-
-
-def n3_total(n: int, L: int) -> int:
-    """All sequences counted by 3-error complexity (both parity classes).
-
-    The even-weight count is n2_lcless: a third flip is never useful there.
-    """
-    return n2_lcless(n, L) + n3_lcfull(n, L)
-
-
 # Previously published 3-error distribution for period 16 (both classes),
 # kept verbatim.  Six entries disagree with the exhaustive census and
-# with n3_total; the census is the arbiter.
+# with the (3, all) closed form; the census is the arbiter.
 _TABLE1 = (
     697, 697, 1394, 2788, 5128, 10704, 18720, 30272,
     0, 23808, 22016, 37888, 0, 4096, 0, 0,

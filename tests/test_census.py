@@ -15,6 +15,7 @@ from lcforge.census import (
     SequenceClass,
     census_distribution,
     class_size,
+    closed_form,
     formula_counts,
     interval_covers,
     proportion_interval,
@@ -26,7 +27,7 @@ from lcforge.census import (
 from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
 from lcforge.cosets import _draws
 from lcforge.cli import main
-from lcforge.counting import kavuluru_table1, n3_lcfull, n3_total, rueppel_count
+from lcforge.counting import kavuluru_table1, n3_lcfull, rueppel_count
 from lcforge.errors import InvalidParams, NoFormulaAvailable, TooLarge
 from lcforge.kerror import _stamp_martin
 
@@ -93,6 +94,9 @@ class TestQueryValidation:
         assert class_size(4, ALL) == 65536
         assert class_size(4, FULL) == 32768
         assert class_size(4, LESS) == 32768
+        assert ALL.parity is None
+        assert FULL.parity == 1
+        assert LESS.parity == 0
 
 
 class TestExhaustiveCensus:
@@ -194,9 +198,19 @@ class TestFormulaJoin:
                 assert report.formula_total == report.census_total
 
     def test_unserved_combos_raise(self):
-        for n, k, seq_class in ((4, 4, LESS), (4, 4, ALL), (4, 1, LESS), (4, 1, ALL), (4, 0, FULL)):
-            with pytest.raises(NoFormulaAvailable):
-                formula_counts(n, k, seq_class)
+        served = set()
+        for k in range(-1, 9):
+            for seq_class in SequenceClass:
+                try:
+                    formula_counts(4, k, seq_class)
+                except NoFormulaAvailable as exc:
+                    # the refusal names the pair asked for, not one it derives from
+                    assert str(exc) == (
+                        f"no closed form for k={k} on class '{seq_class.value}'"
+                    )
+                else:
+                    served.add((k, seq_class))
+        assert served == set(FORMULA_COMBOS)
 
     def test_mismatch_is_reported_not_hidden(self):
         report = verify_formulas(3, 2, LESS)
@@ -365,7 +379,7 @@ class TestSampledCensus:
     def test_intervals_cover_the_exact_proportions(self):
         # the three-sigma band should capture the truth essentially always
         draws, hits, trials = 4096, 0, 0
-        truth = [n3_total(4, L) for L in range(17)]
+        truth = [closed_form(3, ALL)(4, L) for L in range(17)]
         for seed in range(100):
             query = CensusQuery(4, 3, ALL, Sampled(draws, seed=seed))
             for row in census_distribution(query).rows:

@@ -13,9 +13,7 @@ from lcforge.counting import (
     kavuluru_table1,
     n1_lcfull,
     n2_lcless,
-    n2_total,
     n3_lcfull,
-    n3_total,
     rueppel_count,
 )
 from lcforge.errors import InvalidL, InvalidParams
@@ -29,7 +27,7 @@ PER_CLASS = tuple(
     closed_form(k, seq_class)
     for k, seq_class in ((1, FULL), (2, FULL), (2, LESS), (3, FULL), (3, LESS), (4, FULL))
 )
-COMPLETE = (rueppel_count, n2_total, n3_total)
+COMPLETE = (rueppel_count, closed_form(2, ALL), closed_form(3, ALL))
 
 
 class TestDecomposition:
@@ -129,9 +127,9 @@ class TestSingleFamilies:
         assert n3_lcfull(4, 13) == 0
 
     def test_n2_total_examples(self):
-        assert n2_total(4, 0) == 137
-        assert n2_total(4, 13) == 20480
-        assert n2_total(4, 8) == 0
+        assert closed_form(2, ALL)(4, 0) == 137
+        assert closed_form(2, ALL)(4, 13) == 20480
+        assert closed_form(2, ALL)(4, 8) == 0
 
     def test_n2_total_vector_n5(self):
         expected = (
@@ -140,12 +138,12 @@ class TestSingleFamilies:
             0, 8978432, 17956864, 35913728, 59244544, 131072000, 186646528, 171966464,
             0, 620756992, 838860800, 872415232, 0, 1342177280, 0, 0, 0,
         )
-        assert tuple(n2_total(5, L) for L in range(33)) == expected
+        assert tuple(closed_form(2, ALL)(5, L) for L in range(33)) == expected
 
     def test_n3_total_vector_n4(self):
         expected = (697, 697, 1394, 2788, 2824, 8400, 4384, 2624,
                     0, 23808, 8704, 5120, 0, 4096, 0, 0, 0)
-        assert tuple(n3_total(4, L) for L in range(17)) == expected
+        assert tuple(closed_form(3, ALL)(4, L) for L in range(17)) == expected
 
     def test_n3_total_vector_n5(self):
         expected = (
@@ -154,10 +152,10 @@ class TestSingleFamilies:
             0, 45678592, 91357184, 182714368, 185073664, 550502400, 287309824, 171966464,
             0, 1560281088, 570425344, 335544320, 0, 268435456, 0, 0, 0,
         )
-        assert tuple(n3_total(5, L) for L in range(33)) == expected
+        assert tuple(closed_form(3, ALL)(5, L) for L in range(33)) == expected
 
     def test_n3_total_vector_n3(self):
-        assert tuple(n3_total(3, L) for L in range(9)) == (93, 93, 34, 20, 0, 16, 0, 0, 0)
+        assert tuple(closed_form(3, ALL)(3, L) for L in range(9)) == (93, 93, 34, 20, 0, 16, 0, 0, 0)
 
     def test_rejects_bad_L(self):
         for fn in PER_CLASS + COMPLETE:
@@ -261,7 +259,7 @@ class TestPublishedFixture:
         assert sum(kavuluru_table1(L) for L in range(16)) == 158208
 
     def test_disagreement_set(self):
-        wrong = [L for L in range(16) if kavuluru_table1(L) != n3_total(4, L)]
+        wrong = [L for L in range(16) if kavuluru_table1(L) != closed_form(3, ALL)(4, L)]
         assert wrong == [4, 5, 6, 7, 10, 11]
 
     def test_domain(self):
