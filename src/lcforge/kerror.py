@@ -6,28 +6,22 @@ period.
 
 Everything here rests on one kernel, the cost-vector halving of Stamp
 and Martin (IEEE Trans. IT 39(4), 1993), vectorised per level in numpy:
-given one period or a batch of them, a price for flipping each position
-and a budget, it returns per period the least complexity reachable at a
-total price within the budget, and the least total price that reaches
-it, in O(N).  With unit prices and budget k that is L_k, all that
-k_min_search needs, and the fewest flips that reach it, which give
-k_error_profile a whole run of equal values per call.
+given one period or a batch of them and a budget k, it returns per
+period L_k and the fewest flips that reach it, in O(N).  L_k is all that
+k_min_search needs, and the fewest flips give k_error_profile a whole
+run of equal values per call.
 
 k_error_lc also reports a canonical witness, the positions to flip
 within one period as an increasing tuple: among the lightest patterns
 reaching L_k, the first in lexicographic position order (zero flips
-count, so an already minimal s gets the empty tuple).  Prices find it.
-A flip costs one large price less a rebate, larger for earlier groups of
-positions, and no rebates add up to a price, so the cheapest pattern is
-a lightest one, and among those the one with the largest rebates.  The
-rebates are powers of a base above every flip count, so the unspent
-budget spells out how many flips the cheapest pattern makes in each
-group; its leading digit names the first group that any lightest
-pattern reaches.  The search narrows to that group and prices again.
-Once groups are single positions, the digits are the positions of the
-first pattern.  Groups are as many as int64 prices allow (17 at n = 20
-and k = 4), so a witness takes O(k log N) kernel calls at most, and
-O(k N log N) time.
+count, so an already minimal s gets the empty tuple).  A pattern e
+reaches L_k exactly when (1 + x)^(N - L_k) divides s(x) + e(x), and that
+condition splits over the halvings: with m = N - L_k, a halving of half
+length h needs equal halves, leaving m - h for them, while m >= h, and
+otherwise only asks m of the halves' XOR.  So one pass down the halving
+tree prices, for every folded position and each value it can take, the
+fewest flips below it, and one pass back up reads off the witness, in
+O(N) after the single kernel call that gives L_k.
 """
 
 from __future__ import annotations
@@ -49,11 +43,6 @@ class KErrorResult:
     witness: tuple[int, ...]
 
 
-def _price_type(budget: int, period: int):
-    """int64 while no sum of saturated prices can overflow it, else Python ints."""
-    return np.int64 if (budget + 1) * period < 1 << 62 else object
-
-
 def _bits(s: PeriodicSequence) -> np.ndarray:
     """One period as a bool array, position 0 first."""
     packed = s.value.to_bytes((s.period + 7) // 8, "little")
@@ -61,30 +50,27 @@ def _bits(s: PeriodicSequence) -> np.ndarray:
     return bits[: s.period].view(bool)
 
 
-def _stamp_martin(
-    bits: np.ndarray, cost: np.ndarray, budget: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least complexity reachable by flips of total cost <= budget, and the
-    least total cost that reaches it, for each period in a batch.
+def _stamp_martin(bits: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least complexity reachable by at most `budget` flips, and the fewest
+    flips that reach it, for each period in a batch.
 
-    `bits` and `cost` have shape (..., N): a period per row, position 0
-    first, with the price of flipping each position.  The result is a
-    pair of arrays of the leading shape, 0-d for a single period.
+    `bits` has shape (..., N): a period per row, position 0 first.  The
+    result is a pair of arrays of the leading shape, 0-d for a single
+    period.
 
     At each halving a row's two halves are made equal when the cheapest
     way to do so fits the budget it has left; otherwise the level adds
     its half length to the row and the halves are folded by XOR.  Either
-    way each folded position carries the price of flipping it in the
-    folded sequence.  Prices saturate at budget + 1, "unaffordable",
-    which keeps every comparison with the shrinking budget exact without
-    big sentinels; they are int64 unless a level's sum could overflow it.
+    way each folded position carries the price, in flips, of flipping it
+    in the folded sequence.  Prices start at one and saturate at
+    budget + 1, "unaffordable", which keeps every comparison with the
+    shrinking budget exact without big sentinels.
     """
     cap = budget + 1
-    dtype = _price_type(budget, bits.shape[-1])
-    cost = np.minimum(cost.astype(dtype, copy=False), cap)
+    cost = np.ones(bits.shape, dtype=np.int64)
     # per-row state keeps a trailing axis of length 1, so that it
     # broadcasts against the halves and stays an array for one period
-    left = np.full(bits.shape[:-1] + (1,), budget, dtype=dtype)
+    left = np.full(bits.shape[:-1] + (1,), budget, dtype=np.int64)
     lc = np.zeros(left.shape, dtype=np.int64)
     half = bits.shape[-1] >> 1
     while half:
@@ -107,55 +93,64 @@ def _stamp_martin(
     return (lc + (bits & ~paid))[..., 0], (budget - left + cost * paid)[..., 0]
 
 
-def _lightest_first(bits: np.ndarray, k: int) -> tuple[int, tuple[int, ...]]:
-    """L_k of one period, and the first of its lightest patterns reaching L_k.
+def _lightest_first(bits: np.ndarray, m: int) -> tuple[int, ...]:
+    """The first lightest pattern e, in lexicographic position order, for
+    which (1 + x)^m divides s(x) + e(x), s being the period `bits`.
 
-    The window [start, start + span) holds the next position still to
-    find; positions before it are flipped already or passed over.  `rem`
-    bounds the flips still to make: k and the weight at first, the exact
-    count once the first call has priced them.
+    Each halving folds position j with j + h into one node, so a node
+    covers positions j, j + h', j + 2h', ... for the half length h' of its
+    level, its halves' positions interleaved.  Per node and per value v
+    it can take, `cost[v]` is the fewest flips below it; `first` is the
+    position where the first lightest patterns for 0 and for 1 first
+    differ, and `flips` the value whose pattern flips there.  Of two
+    equally light patterns the one flipping at their first difference
+    comes first, so a tie goes to the half whose `first` is smaller, and
+    `choice` keeps, for each value of an XOR node, the value of its first
+    half.
     """
-    period = len(bits)
-    bits = bits.copy()
-    positions: list[int] = []
-    start, span = 0, period
-    rem = min(k, int(np.count_nonzero(bits)))  # at most k, and the support
-    while True:
-        base = rem + 1
-        groups = 2  # as many as int64 prices allow; 62 bounds it when rem is 0
-        while groups < min(span, 62) and _price_type(
-            rem * (base ** (groups + 1) + 1), period
-        ) is np.int64:
-            groups += 1
-        size = -(-span // groups)
-        groups = -(-span // size)
-        price = base**groups + 1
-        budget = rem * price
-        dtype = _price_type(budget, period)
-        rebates = np.array([base**g for g in range(groups - 1, -1, -1)], dtype=dtype)
-        cost = np.full(period, price, dtype=dtype)
-        cost[:start] = budget + 1  # flipped already, or passed over
-        cost[start : start + span] -= np.repeat(rebates, size)[:span]
-        value, spent = map(int, _stamp_martin(bits, cost, budget))
-        rem = -(-spent // price)
-        earned = rem * price - spent
-        counts = []
-        for _ in range(groups):
-            earned, count = divmod(earned, base)
-            counts.append(count)
-        counts.reverse()
-        if size > 1 and rem:
-            start += size * next(g for g, count in enumerate(counts) if count)
-            span = min(size, period - start)
-            continue
-        hits = [start + g for g, count in enumerate(counts) if count]
-        positions += hits
-        if len(hits) == rem:
-            return value, tuple(positions)
-        rem -= len(hits)
-        bits[hits] = ~bits[hits]
-        start += span
-        span = period - start
+    # int32 holds every count and position of a period of 2^MAX_EXPONENT
+    cost = np.stack([bits, ~bits]).astype(np.int32)  # flips to make each 0, 1
+    first = np.arange(len(bits), dtype=np.int32)
+    flips = ~bits
+    choices = []  # per level, None where the halves must agree
+    half = len(bits) >> 1
+    while half:
+        ca, cb = cost[:, :half], cost[:, half:]
+        fa, fb = first[:half], first[half:]
+        la, lb = flips[:half], flips[half:]
+        a_first = fa < fb
+        if m >= half:
+            m -= half
+            choice = None
+            cost = ca + cb
+            first = np.minimum(fa, fb)
+            flips = np.where(a_first, la, lb)
+        else:
+            # row y: the first half takes 0 (keep) or 1 (swap), the second
+            # half that value XOR y
+            keep, swap = ca[0] + cb, ca[1] + cb[::-1]
+            tie = np.where(a_first, la, np.stack([lb, ~lb]))
+            choice = (swap < keep) | ((swap == keep) & tie)
+            cost = np.minimum(keep, swap)
+            # the patterns for 0 and 1 differ in one half only
+            in_a = choice[0] != choice[1]
+            first = np.where(in_a, fa, fb)
+            flips = choice[0] ^ np.where(in_a, la, lb)
+        choices.append(choice)
+        half >>= 1
+    # m is 0 or 1 now: the folded bit must be 0, or takes the lighter
+    # value, a tie going to the one that flips first
+    if m:
+        value = np.zeros(1, dtype=bool)
+    else:
+        value = (cost[1] < cost[0]) | ((cost[1] == cost[0]) & flips)
+    for choice in reversed(choices):
+        if choice is None:
+            value = np.concatenate([value, value])
+        else:
+            a = np.where(value, choice[1], choice[0])
+            value = np.concatenate([a, a ^ value])
+    return tuple(np.flatnonzero(value != bits).tolist())
 
 
 def k_error_lc(s: PeriodicSequence, k: int) -> KErrorResult:
@@ -168,23 +163,22 @@ def k_error_lc(s: PeriodicSequence, k: int) -> KErrorResult:
     """
     if not 0 <= k <= s.period:
         raise InvalidParams(f"k must be in [0, {s.period}], got {k}")
-    return KErrorResult(*_lightest_first(_bits(s), k))
-
-
-def _unit_prices(s: PeriodicSequence) -> tuple[np.ndarray, np.ndarray]:
-    """The period of s as bits, and a price of one flip per position."""
-    return _bits(s), np.ones(s.period, dtype=np.int64)
+    bits = _bits(s)
+    value, fewest = map(int, _stamp_martin(bits, k))
+    return KErrorResult(
+        value, _lightest_first(bits, s.period - value) if fewest else ()
+    )
 
 
 def k_error_profile(s: PeriodicSequence, k_max: int) -> list[tuple[int, int]]:
     """The non-increasing profile [(k, k-error complexity)] for k = 0..k_max."""
     if not 0 <= k_max <= s.period:
         raise InvalidParams(f"k_max must be in [0, {s.period}], got {k_max}")
-    bits, unit = _unit_prices(s)
+    bits = _bits(s)
     values = [0] * (k_max + 1)
     k = k_max
     while k >= 0:  # one kernel call per distinct value, from k_max down
-        value, spent = map(int, _stamp_martin(bits, unit, k))
+        value, spent = map(int, _stamp_martin(bits, k))
         # L_j >= L_k = value for j <= k, and `spent` flips already reach it
         values[spent : k + 1] = [value] * (k + 1 - spent)
         k = spent - 1
@@ -214,8 +208,8 @@ def k_min_search(s: PeriodicSequence, k_cap: int) -> int:
     if s.value == 0:
         raise UndefinedForZeroSequence("complexity 0 cannot decrease")
     base = core._lc_value(s.value, s.exponent)
-    bits, unit = _unit_prices(s)
+    bits = _bits(s)
     for k in range(2 - s.weight() % 2, k_cap + 1, 2):
-        if int(_stamp_martin(bits, unit, k)[0]) < base:
+        if int(_stamp_martin(bits, k)[0]) < base:
             return k
     raise NotFoundWithinCap(f"no pattern of weight <= {k_cap} lowers {base}")

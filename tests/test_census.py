@@ -142,9 +142,8 @@ def _kernel_lc(values, n, k):
     """L_k of each packed period by the Stamp-Martin kernel, the oracle."""
     period = 1 << n
     bits = (values[:, None] >> np.arange(period, dtype=values.dtype) & 1).astype(bool)
-    unit = np.ones(bits.shape, dtype=np.int64)
     return np.concatenate([
-        _stamp_martin(bits[i : i + 8192], unit[i : i + 8192], k)[0]
+        _stamp_martin(bits[i : i + 8192], k)[0]
         for i in range(0, len(values), 8192)
     ])
 

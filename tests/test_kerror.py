@@ -122,6 +122,23 @@ class TestKErrorLc:
         r = k_error_lc(s, 3)
         assert (r.value, r.witness) == (0, (0, 1, 2))
 
+    def test_one_kernel_call_per_witness(self, monkeypatch):
+        calls = []
+        real = kerror._stamp_martin
+
+        def counted(bits, budget):
+            calls.append(budget)
+            return real(bits, budget)
+
+        monkeypatch.setattr(kerror, "_stamp_martin", counted)
+        rng = random.Random(8)
+        for _ in range(4):
+            s = PeriodicSequence(8, rng.getrandbits(256))
+            for k in (1, 4, 16, 64, 256):
+                calls.clear()
+                r = k_error_lc(s, k)
+                assert calls == [k], (s.value, k, r)
+
     def test_monotone_in_k(self):
         table_checked = 0
         for value in range(1 << 8):
@@ -198,7 +215,7 @@ class TestAgainstBruteForce:
         for n in range(4):
             for value in range(1 << (1 << n)):
                 s = PeriodicSequence(n, value)
-                for k in range(min(4, 1 << n) + 1):
+                for k in range((1 << n) + 1):
                     r = k_error_lc(s, k)
                     expected = brute_k_error(s, k)
                     assert (r.value, r.witness) == expected, (n, value, k)
@@ -238,24 +255,15 @@ class TestAgainstBruteForce:
                 brute_k_error(s, k)[0] for k in range(3)
             ]
 
-    def test_python_int_prices_agree(self, monkeypatch):
-        # prices too large for int64 switch the kernel to Python ints
-        rng = random.Random(4)
-        cases = [(PeriodicSequence(4, rng.getrandbits(16)), 3) for _ in range(5)]
-        fast = [k_error_lc(s, k) for s, k in cases]
-        monkeypatch.setattr(kerror, "_price_type", lambda budget, period: object)
-        assert [k_error_lc(s, k) for s, k in cases] == fast
-
 
 class TestBatchedKernel:
     @staticmethod
-    def _rows_match(bits, cost, budget):
-        lc, spent = kerror._stamp_martin(bits, cost, budget)
+    def _rows_match(bits, budget):
+        lc, spent = kerror._stamp_martin(bits, budget)
         assert lc.shape == spent.shape == bits.shape[:-1]
         period = bits.shape[-1]
-        rows = zip(bits.reshape(-1, period), cost.reshape(-1, period))
-        for row, (row_bits, row_cost) in enumerate(rows):
-            single = kerror._stamp_martin(row_bits, row_cost, budget)
+        for row, row_bits in enumerate(bits.reshape(-1, period)):
+            single = kerror._stamp_martin(row_bits, budget)
             assert (lc.flat[row], spent.flat[row]) == tuple(map(int, single))
             assert 0 <= lc.flat[row] <= period and 0 <= spent.flat[row] <= budget
 
@@ -264,26 +272,8 @@ class TestBatchedKernel:
         for n in range(7):
             period = 1 << n
             bits = rng.integers(0, 2, (3, 8, period)).astype(bool)
-            cost = rng.integers(0, 7, (3, 8, period))
-            assert kerror._price_type(3 * period, period) is np.int64
             for budget in (0, 1, 2, 5, 3 * period):
-                self._rows_match(bits, cost, budget)
-
-    def test_rows_equal_single_calls_python_ints(self):
-        rng = random.Random(32)
-        for n in range(6):
-            period = 1 << n
-            bits = np.array(
-                [[rng.getrandbits(1) for _ in range(period)] for _ in range(12)],
-                dtype=bool,
-            )
-            cost = np.array(
-                [[rng.getrandbits(66) for _ in range(period)] for _ in range(12)],
-                dtype=object,
-            )
-            for budget in (1 << 64, 1 << 66, 1 << 68):
-                assert kerror._price_type(budget, period) is object
-                self._rows_match(bits, cost, budget)
+                self._rows_match(bits, budget)
 
 
 class TestProfile:
@@ -321,9 +311,9 @@ class TestProfile:
 
     def test_matches_per_k_kernel(self):
         def per_k(s):
-            bits, unit = kerror._unit_prices(s)
+            bits = kerror._bits(s)
             return [
-                (k, int(kerror._stamp_martin(bits, unit, k)[0]))
+                (k, int(kerror._stamp_martin(bits, k)[0]))
                 for k in range(s.period + 1)
             ]
 
@@ -342,9 +332,9 @@ class TestProfile:
         budgets = []
         real = kerror._stamp_martin
 
-        def counted(bits, cost, budget):
+        def counted(bits, budget):
             budgets.append(budget)
-            return real(bits, cost, budget)
+            return real(bits, budget)
 
         monkeypatch.setattr(kerror, "_stamp_martin", counted)
         # 15 at k = 0, 1 and 0 from k = 2: one call per value, from k_max down

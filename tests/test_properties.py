@@ -27,7 +27,7 @@ def test_halving_equals_minimal_polynomial(s):
 @st.composite
 def periods_and_k(draw):
     s = draw(periods())
-    return s, draw(st.integers(0, min(s.period, 8)))
+    return s, draw(st.integers(0, s.period))
 
 
 def _rotate(s: PeriodicSequence, shift: int) -> PeriodicSequence:
@@ -63,6 +63,8 @@ def test_witness_reaches_the_value(s_and_k):
     assert len(result.witness) <= k
     flipped = s ^ PeriodicSequence.from_support(s.exponent, result.witness)
     assert games_chan_lc(flipped) == result.value
+    if result.witness:  # and no lighter pattern reaches it
+        assert k_error_lc(s, len(result.witness) - 1).value > result.value
 
 
 @bounded
