@@ -4,24 +4,28 @@ The k-error linear complexity L_k(s) is the smallest complexity reachable
 by flipping at most k positions within one period; flips repeat in every
 period.
 
-Everything here rests on one kernel, the cost-vector halving of Stamp
-and Martin (IEEE Trans. IT 39(4), 1993), vectorised per level in numpy:
-given one period or a batch of them and a budget k, it returns per
-period L_k and the fewest flips that reach it, in O(N).  L_k is all that
-k_min_search needs, and the fewest flips give k_error_profile a whole
-run of equal values per call.
+Everything here rests on one O(N) pass over the halving tree, vectorised
+per level in numpy: given one period and a budget k it returns L_k and a
+canonical witness, the positions to flip within one period as an
+increasing tuple: among the lightest patterns reaching L_k, the first in
+lexicographic position order (zero flips count, so an already minimal s
+gets the empty tuple).  The witness's weight is the fewest flips that
+reach L_k, which gives k_error_profile a whole run of equal values per
+pass; L_k is all that k_min_search needs.
 
-k_error_lc also reports a canonical witness, the positions to flip
-within one period as an increasing tuple: among the lightest patterns
-reaching L_k, the first in lexicographic position order (zero flips
-count, so an already minimal s gets the empty tuple).  A pattern e
-reaches L_k exactly when (1 + x)^(N - L_k) divides s(x) + e(x), and that
-condition splits over the halvings: with m = N - L_k, a halving of half
-length h needs equal halves, leaving m - h for them, while m >= h, and
-otherwise only asks m of the halves' XOR.  So one pass down the halving
-tree prices, for every folded position and each value it can take, the
-fewest flips below it, and one pass back up reads off the witness, in
-O(N) after the single kernel call that gives L_k.
+A pattern e takes s to complexity at most N - m exactly when
+(1 + x)^m divides s(x) + e(x), and that condition splits over the
+halvings: a halving of half length h needs equal halves, leaving m - h
+for them, while m >= h, and otherwise only asks m of the halves' XOR.
+So a pass down the tree prices, for every folded position and each
+value it can take, the fewest flips below it, and a pass back up reads
+off the witness.  The fewest flips c(m) for the condition never
+decrease as m grows, so the largest m with c(m) <= k, which is N - L_k,
+is found one binary digit at a time from the top: a level takes its
+digit, making its halves equal, when the cheapest way to do so, with
+every lower digit 0, fits k.  That is the budget test of the cost-vector
+algorithm of Stamp and Martin (IEEE Trans. IT 39(4), 1993), taken on the
+two-valued prices of the pass, so the same pass finds L_k.
 """
 
 from __future__ import annotations
@@ -50,85 +54,46 @@ def _bits(s: PeriodicSequence) -> np.ndarray:
     return bits[: s.period].view(bool)
 
 
-def _stamp_martin(bits: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least complexity reachable by at most `budget` flips, and the fewest
-    flips that reach it, for each period in a batch.
-
-    `bits` has shape (..., N): a period per row, position 0 first.  The
-    result is a pair of arrays of the leading shape, 0-d for a single
-    period.
-
-    At each halving a row's two halves are made equal when the cheapest
-    way to do so fits the budget it has left; otherwise the level adds
-    its half length to the row and the halves are folded by XOR.  Either
-    way each folded position carries the price, in flips, of flipping it
-    in the folded sequence.  Prices start at one and saturate at
-    budget + 1, "unaffordable", which keeps every comparison with the
-    shrinking budget exact without big sentinels.
-    """
-    cap = budget + 1
-    cost = np.ones(bits.shape, dtype=np.int64)
-    # per-row state keeps a trailing axis of length 1, so that it
-    # broadcasts against the halves and stays an array for one period
-    left = np.full(bits.shape[:-1] + (1,), budget, dtype=np.int64)
-    lc = np.zeros(left.shape, dtype=np.int64)
-    half = bits.shape[-1] >> 1
-    while half:
-        a, b = bits[..., :half], bits[..., half:]
-        ca, cb = cost[..., :half], cost[..., half:]
-        differ = a != b
-        cheaper = np.minimum(ca, cb)
-        repair = cheaper * differ
-        spend = repair.sum(axis=-1, keepdims=True)
-        fits = spend <= left
-        left = left - spend * fits
-        lc = lc + half * ~fits
-        # where the repair fits, flip the cheaper side; the other side's
-        # price becomes the difference, and two equal positions cost both
-        # to change
-        bits = np.where(fits, np.where(ca <= cb, b, a), differ)
-        cost = np.where(fits, np.minimum(ca + cb - 2 * repair, cap), cheaper)
-        half >>= 1
-    paid = bits & (cost <= left)
-    return (lc + (bits & ~paid))[..., 0], (budget - left + cost * paid)[..., 0]
-
-
-def _lightest_first(bits: np.ndarray, m: int) -> tuple[int, ...]:
-    """The first lightest pattern e, in lexicographic position order, for
-    which (1 + x)^m divides s(x) + e(x), s being the period `bits`.
+def _coset_pass(bits: np.ndarray, k: int) -> KErrorResult:
+    """L_k of the period `bits` within k flips, and the first lightest
+    pattern e, in lexicographic position order, that reaches it; the
+    pattern's weight is the fewest flips that reach L_k.
 
     Each halving folds position j with j + h into one node, so a node
     covers positions j, j + h', j + 2h', ... for the half length h' of its
     level, its halves' positions interleaved.  Per node and per value v
     it can take, `cost[v]` is the fewest flips below it; `first` is the
     position where the first lightest patterns for 0 and for 1 first
-    differ, and `flips` the value whose pattern flips there.  Of two
-    equally light patterns the one flipping at their first difference
-    comes first, so a tie goes to the half whose `first` is smaller, and
-    `choice` keeps, for each value of an XOR node, the value of its first
-    half.
+    differ, and `flips` the value whose pattern flips there.  A level
+    makes its halves equal, node value for node value, when the cheapest
+    way to do so fits k, and otherwise adds h to L_k and folds them by
+    XOR.  Of two equally light patterns the one flipping at their first
+    difference comes first, so a tie goes to the half whose `first` is
+    smaller, and `choice` keeps, for each value of an XOR node, the value
+    of its first half.
     """
     # int32 holds every count and position of a period of 2^MAX_EXPONENT
     cost = np.stack([bits, ~bits]).astype(np.int32)  # flips to make each 0, 1
     first = np.arange(len(bits), dtype=np.int32)
     flips = ~bits
-    choices = []  # per level, None where the halves must agree
+    lc = 0
+    choices = []  # per level, None where the halves are made equal
     half = len(bits) >> 1
     while half:
         ca, cb = cost[:, :half], cost[:, half:]
         fa, fb = first[:half], first[half:]
         la, lb = flips[:half], flips[half:]
         a_first = fa < fb
-        if m >= half:
-            m -= half
+        # row y: the first half takes 0 (keep) or 1 (swap), the second half
+        # that value XOR y, so row 0 makes the halves equal
+        keep, swap = ca[0] + cb, ca[1] + cb[::-1]
+        if np.minimum(keep[0], swap[0]).sum() <= k:
             choice = None
             cost = ca + cb
             first = np.minimum(fa, fb)
             flips = np.where(a_first, la, lb)
         else:
-            # row y: the first half takes 0 (keep) or 1 (swap), the second
-            # half that value XOR y
-            keep, swap = ca[0] + cb, ca[1] + cb[::-1]
+            lc += half
             tie = np.where(a_first, la, np.stack([lb, ~lb]))
             choice = (swap < keep) | ((swap == keep) & tie)
             cost = np.minimum(keep, swap)
@@ -138,11 +103,12 @@ def _lightest_first(bits: np.ndarray, m: int) -> tuple[int, ...]:
             flips = choice[0] ^ np.where(in_a, la, lb)
         choices.append(choice)
         half >>= 1
-    # m is 0 or 1 now: the folded bit must be 0, or takes the lighter
-    # value, a tie going to the one that flips first
-    if m:
+    # the folded bit is 0 if k pays for it, and otherwise takes the
+    # lighter value, a tie going to the one that flips first
+    if cost[0, 0] <= k:
         value = np.zeros(1, dtype=bool)
     else:
+        lc += 1
         value = (cost[1] < cost[0]) | ((cost[1] == cost[0]) & flips)
     for choice in reversed(choices):
         if choice is None:
@@ -150,7 +116,7 @@ def _lightest_first(bits: np.ndarray, m: int) -> tuple[int, ...]:
         else:
             a = np.where(value, choice[1], choice[0])
             value = np.concatenate([a, a ^ value])
-    return tuple(np.flatnonzero(value != bits).tolist())
+    return KErrorResult(lc, tuple(np.flatnonzero(value != bits).tolist()))
 
 
 def k_error_lc(s: PeriodicSequence, k: int) -> KErrorResult:
@@ -163,11 +129,7 @@ def k_error_lc(s: PeriodicSequence, k: int) -> KErrorResult:
     """
     if not 0 <= k <= s.period:
         raise InvalidParams(f"k must be in [0, {s.period}], got {k}")
-    bits = _bits(s)
-    value, fewest = map(int, _stamp_martin(bits, k))
-    return KErrorResult(
-        value, _lightest_first(bits, s.period - value) if fewest else ()
-    )
+    return _coset_pass(_bits(s), k)
 
 
 def k_error_profile(s: PeriodicSequence, k_max: int) -> list[tuple[int, int]]:
@@ -177,10 +139,11 @@ def k_error_profile(s: PeriodicSequence, k_max: int) -> list[tuple[int, int]]:
     bits = _bits(s)
     values = [0] * (k_max + 1)
     k = k_max
-    while k >= 0:  # one kernel call per distinct value, from k_max down
-        value, spent = map(int, _stamp_martin(bits, k))
-        # L_j >= L_k = value for j <= k, and `spent` flips already reach it
-        values[spent : k + 1] = [value] * (k + 1 - spent)
+    while k >= 0:  # one pass per distinct value, from k_max down
+        r = _coset_pass(bits, k)
+        # L_j >= L_k for j <= k, and the witness's flips already reach it
+        spent = len(r.witness)
+        values[spent : k + 1] = [r.value] * (k + 1 - spent)
         k = spent - 1
     return list(enumerate(values))
 
@@ -210,6 +173,6 @@ def k_min_search(s: PeriodicSequence, k_cap: int) -> int:
     base = core._lc_value(s.value, s.exponent)
     bits = _bits(s)
     for k in range(2 - s.weight() % 2, k_cap + 1, 2):
-        if int(_stamp_martin(bits, k)[0]) < base:
+        if _coset_pass(bits, k).value < base:
             return k
     raise NotFoundWithinCap(f"no pattern of weight <= {k_cap} lowers {base}")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_kerror import stamp_martin
 
 from lcforge import census, cosets
 from lcforge.census import (
@@ -29,7 +30,6 @@ from lcforge.cosets import _draws
 from lcforge.cli import main
 from lcforge.counting import kavuluru_table1, n3_lcfull, rueppel_count
 from lcforge.errors import InvalidParams, NoFormulaAvailable, TooLarge
-from lcforge.kerror import _stamp_martin
 
 ALL = SequenceClass.ALL
 FULL = SequenceClass.FULL_LC
@@ -143,7 +143,7 @@ def _kernel_lc(values, n, k):
     period = 1 << n
     bits = (values[:, None] >> np.arange(period, dtype=values.dtype) & 1).astype(bool)
     return np.concatenate([
-        _stamp_martin(bits[i : i + 8192], k)[0]
+        stamp_martin(bits[i : i + 8192], k)[0]
         for i in range(0, len(values), 8192)
     ])
 

@@ -37,6 +37,52 @@ def brute_k_error(s: PeriodicSequence, k: int):
     return best
 
 
+def stamp_martin(bits: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Independent oracle: the batched cost-vector kernel of Stamp and Martin
+    (IEEE Trans. IT 39(4), 1993).
+
+    Least complexity reachable by at most `budget` flips, and the fewest
+    flips that reach it, for each period in a batch.
+
+    `bits` has shape (..., N): a period per row, position 0 first.  The
+    result is a pair of arrays of the leading shape, 0-d for a single
+    period.
+
+    At each halving a row's two halves are made equal when the cheapest
+    way to do so fits the budget it has left; otherwise the level adds
+    its half length to the row and the halves are folded by XOR.  Either
+    way each folded position carries the price, in flips, of flipping it
+    in the folded sequence.  Prices start at one and saturate at
+    budget + 1, "unaffordable", which keeps every comparison with the
+    shrinking budget exact without big sentinels.
+    """
+    cap = budget + 1
+    cost = np.ones(bits.shape, dtype=np.int64)
+    # per-row state keeps a trailing axis of length 1, so that it
+    # broadcasts against the halves and stays an array for one period
+    left = np.full(bits.shape[:-1] + (1,), budget, dtype=np.int64)
+    lc = np.zeros(left.shape, dtype=np.int64)
+    half = bits.shape[-1] >> 1
+    while half:
+        a, b = bits[..., :half], bits[..., half:]
+        ca, cb = cost[..., :half], cost[..., half:]
+        differ = a != b
+        cheaper = np.minimum(ca, cb)
+        repair = cheaper * differ
+        spend = repair.sum(axis=-1, keepdims=True)
+        fits = spend <= left
+        left = left - spend * fits
+        lc = lc + half * ~fits
+        # where the repair fits, flip the cheaper side; the other side's
+        # price becomes the difference, and two equal positions cost both
+        # to change
+        bits = np.where(fits, np.where(ca <= cb, b, a), differ)
+        cost = np.where(fits, np.minimum(ca + cb - 2 * repair, cap), cheaper)
+        half >>= 1
+    paid = bits & (cost <= left)
+    return (lc + (bits & ~paid))[..., 0], (budget - left + cost * paid)[..., 0]
+
+
 class TestKErrorLc:
     def test_single_one_erased(self):
         r = k_error_lc(PeriodicSequence.from_support(4, (5,)), 1)
@@ -124,13 +170,13 @@ class TestKErrorLc:
 
     def test_one_kernel_call_per_witness(self, monkeypatch):
         calls = []
-        real = kerror._stamp_martin
+        real = kerror._coset_pass
 
         def counted(bits, budget):
             calls.append(budget)
             return real(bits, budget)
 
-        monkeypatch.setattr(kerror, "_stamp_martin", counted)
+        monkeypatch.setattr(kerror, "_coset_pass", counted)
         rng = random.Random(8)
         for _ in range(4):
             s = PeriodicSequence(8, rng.getrandbits(256))
@@ -259,12 +305,12 @@ class TestAgainstBruteForce:
 class TestBatchedKernel:
     @staticmethod
     def _rows_match(bits, budget):
-        lc, spent = kerror._stamp_martin(bits, budget)
+        lc, spent = stamp_martin(bits, budget)
         assert lc.shape == spent.shape == bits.shape[:-1]
         period = bits.shape[-1]
         for row, row_bits in enumerate(bits.reshape(-1, period)):
-            single = kerror._stamp_martin(row_bits, budget)
-            assert (lc.flat[row], spent.flat[row]) == tuple(map(int, single))
+            r = kerror._coset_pass(row_bits, budget)
+            assert (lc.flat[row], spent.flat[row]) == (r.value, len(r.witness))
             assert 0 <= lc.flat[row] <= period and 0 <= spent.flat[row] <= budget
 
     def test_rows_equal_single_calls_int64(self):
@@ -312,10 +358,7 @@ class TestProfile:
     def test_matches_per_k_kernel(self):
         def per_k(s):
             bits = kerror._bits(s)
-            return [
-                (k, int(kerror._stamp_martin(bits, k)[0]))
-                for k in range(s.period + 1)
-            ]
+            return [(k, int(stamp_martin(bits, k)[0])) for k in range(s.period + 1)]
 
         for n in range(4):
             for value in range(1 << (1 << n)):
@@ -330,14 +373,14 @@ class TestProfile:
 
     def test_one_kernel_call_per_distinct_value(self, monkeypatch):
         budgets = []
-        real = kerror._stamp_martin
+        real = kerror._coset_pass
 
         def counted(bits, budget):
             budgets.append(budget)
             return real(bits, budget)
 
-        monkeypatch.setattr(kerror, "_stamp_martin", counted)
-        # 15 at k = 0, 1 and 0 from k = 2: one call per value, from k_max down
+        monkeypatch.setattr(kerror, "_coset_pass", counted)
+        # 15 at k = 0, 1 and 0 from k = 2: one pass per value, from k_max down
         s = PeriodicSequence.from_support(4, (0, 1))
         profile = k_error_profile(s, 16)
         assert profile == [(0, 15), (1, 15)] + [(k, 0) for k in range(2, 17)]

@@ -1,9 +1,10 @@
 """Properties of the complexity routes and the k-error engine over random
 periods with n <= 10."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kerror import brute_k_error
+from test_kerror import brute_k_error, stamp_martin
 
 from lcforge.core import PeriodicSequence, games_chan_lc, lc_by_minimal_polynomial
 from lcforge.kerror import k_error_lc, k_error_profile, k_min_formula, k_min_search
@@ -65,6 +66,18 @@ def test_witness_reaches_the_value(s_and_k):
     assert games_chan_lc(flipped) == result.value
     if result.witness:  # and no lighter pattern reaches it
         assert k_error_lc(s, len(result.witness) - 1).value > result.value
+
+
+@settings(max_examples=25, deadline=None)  # every k: up to 1 025 calls each
+@given(periods(n_max=10))
+def test_value_and_weight_equal_stamp_martin(s):
+    # the witness is a lightest pattern: its weight is the kernel's fewest
+    # flips, at every k
+    bits = np.array([s.value >> i & 1 for i in range(s.period)], dtype=bool)
+    for k in range(s.period + 1):
+        result = k_error_lc(s, k)
+        lc, fewest = map(int, stamp_martin(bits, k))
+        assert (result.value, len(result.witness)) == (lc, fewest), k
 
 
 @bounded
