@@ -17,8 +17,6 @@ from .counting import (
     LKind,
     LSubcase,
     decompose_L,
-    f_term,
-    g_term,
     kavuluru_table1,
     n1_lcfull,
     n2_lcless,
@@ -37,7 +35,6 @@ from .census import (
     census_distribution,
     class_size,
     formula_counts,
-    interval_covers,
     proportion_interval,
     refutation_report,
     verify_formulas,
@@ -63,15 +60,11 @@ __all__ = [
     "census_distribution",
     "class_size",
     "decompose_L",
-    "f_term",
     "formula_counts",
-    "g_term",
     "games_chan_lc",
-    "interval_covers",
     "k_error_lc",
     "k_error_profile",
     "k_min_formula",
-    "k_min_search",
     "kavuluru_table1",
     "lc_by_minimal_polynomial",
     "lc_pair",

@@ -373,14 +373,3 @@ def proportion_interval(count: int, sample_size: int) -> tuple[float, float]:
     p = count / sample_size
     delta = 3.0 * sqrt(p * (1.0 - p) / sample_size)
     return (max(0.0, p - delta), min(1.0, p + delta))
-
-
-def interval_covers(
-    count: int, sample_size: int, true_numerator: int, true_denominator: int
-) -> bool:
-    """Exact test that the three-sigma interval contains the truth.
-
-    (c/s - a/b)^2 <= 9/s * c/s * (1 - c/s), times s^3 b^2, in integers.
-    """
-    c, s, a, b = count, sample_size, true_numerator, true_denominator
-    return s * (c * b - a * s) ** 2 <= 9 * c * (s - c) * b * b

@@ -125,7 +125,7 @@ def n2_lcless(n: int, L: int) -> int:
     return (1 << (L - 1)) * factor
 
 
-def f_term(n: int, m: int) -> int:
+def _f_term(n: int, m: int) -> int:
     """Bracket factor for the power-gap branch of n3_lcfull; needs 1 < m <= n."""
     if not 1 < m <= n:
         raise InvalidParams(f"need 1 < m <= n, got m={m}, n={n}")
@@ -143,7 +143,7 @@ def f_term(n: int, m: int) -> int:
     )
 
 
-def g_term(n: int, m: int) -> int:
+def _g_term(n: int, m: int) -> int:
     """Bracket factor for the gap-plus branch of n3_lcfull; needs 1 < m < n - 1."""
     if not 1 < m < n - 1:
         raise InvalidParams(f"need 1 < m < n - 1, got m={m}, n={n}")
@@ -169,8 +169,8 @@ def n3_lcfull(n: int, L: int) -> int:
         # the power-gap values with r <= 3 are unreachable from this class
         return 0
     if d.subcase is LSubcase.POWER_GAP:
-        return (1 << (L - 1)) * f_term(d.r, d.m)
-    return (1 << (L - 1)) * g_term(d.r, d.m)
+        return (1 << (L - 1)) * _f_term(d.r, d.m)
+    return (1 << (L - 1)) * _g_term(d.r, d.m)
 
 
 # Previously published 3-error distribution for period 16 (both classes),

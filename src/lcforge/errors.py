@@ -30,10 +30,6 @@ class LemmaPreconditionViolated(LcforgeError):
     """Closed-form complexity shortcut called outside its precondition."""
 
 
-class NotFoundWithinCap(LcforgeError):
-    """No error pattern within the tried range lowered the complexity."""
-
-
 class UndefinedForZeroSequence(LcforgeError):
     """The requested quantity is undefined for the all-zero sequence."""
 

@@ -9,9 +9,10 @@ per level in numpy: given one period and a budget k it returns L_k and a
 canonical witness, the positions to flip within one period as an
 increasing tuple: among the lightest patterns reaching L_k, the first in
 lexicographic position order (zero flips count, so an already minimal s
-gets the empty tuple).  The witness's weight is the fewest flips that
-reach L_k, which gives k_error_profile a whole run of equal values per
-pass; L_k is all that k_min_search needs.
+gets the empty tuple).  The pass is a fold down the tree, which finds L_k
+and the fewest flips that reach it, and a read-back up the tree, which
+builds the witness.  Only k_error_lc reads back: k_error_profile needs
+just the fewest flips, which give it a whole run of equal values per fold.
 
 A pattern e takes s to complexity at most N - m exactly when
 (1 + x)^m divides s(x) + e(x), and that condition splits over the
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import core
 from .core import PeriodicSequence
-from .errors import InvalidParams, NotFoundWithinCap, UndefinedForZeroSequence
+from .errors import InvalidParams, UndefinedForZeroSequence
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,11 @@ def _bits(s: PeriodicSequence) -> np.ndarray:
     return bits[: s.period].view(bool)
 
 
-def _coset_pass(bits: np.ndarray, k: int) -> KErrorResult:
-    """L_k of the period `bits` within k flips, and the first lightest
-    pattern e, in lexicographic position order, that reaches it; the
-    pattern's weight is the fewest flips that reach L_k.
+def _fold(bits: np.ndarray, k: int) -> tuple[int, int, list, np.ndarray]:
+    """L_k of the period `bits` within k flips, the fewest flips that reach
+    it, and what _read_back needs for the first lightest pattern, in
+    lexicographic position order, that does: the per-level choices and
+    the value of the folded bit.
 
     Each halving folds position j with j + h into one node, so a node
     covers positions j, j + h', j + 2h', ... for the half length h' of its
@@ -110,13 +112,19 @@ def _coset_pass(bits: np.ndarray, k: int) -> KErrorResult:
     else:
         lc += 1
         value = (cost[1] < cost[0]) | ((cost[1] == cost[0]) & flips)
+    return lc, int(cost[int(value[0]), 0]), choices, value
+
+
+def _read_back(bits: np.ndarray, choices: list, value: np.ndarray) -> tuple[int, ...]:
+    """The pattern that _fold chose, unfolded level by level from the value
+    of the folded bit, as the increasing positions where it flips `bits`."""
     for choice in reversed(choices):
         if choice is None:
             value = np.concatenate([value, value])
         else:
             a = np.where(value, choice[1], choice[0])
             value = np.concatenate([a, a ^ value])
-    return KErrorResult(lc, tuple(np.flatnonzero(value != bits).tolist()))
+    return tuple(np.flatnonzero(value != bits).tolist())
 
 
 def k_error_lc(s: PeriodicSequence, k: int) -> KErrorResult:
@@ -129,7 +137,9 @@ def k_error_lc(s: PeriodicSequence, k: int) -> KErrorResult:
     """
     if not 0 <= k <= s.period:
         raise InvalidParams(f"k must be in [0, {s.period}], got {k}")
-    return _coset_pass(_bits(s), k)
+    bits = _bits(s)
+    lc, _, choices, value = _fold(bits, k)
+    return KErrorResult(lc, _read_back(bits, choices, value))
 
 
 def k_error_profile(s: PeriodicSequence, k_max: int) -> list[tuple[int, int]]:
@@ -139,11 +149,10 @@ def k_error_profile(s: PeriodicSequence, k_max: int) -> list[tuple[int, int]]:
     bits = _bits(s)
     values = [0] * (k_max + 1)
     k = k_max
-    while k >= 0:  # one pass per distinct value, from k_max down
-        r = _coset_pass(bits, k)
-        # L_j >= L_k for j <= k, and the witness's flips already reach it
-        spent = len(r.witness)
-        values[spent : k + 1] = [r.value] * (k + 1 - spent)
+    while k >= 0:  # one fold per distinct value, from k_max down
+        # L_j >= L_k for j <= k, and the fewest flips already reach it
+        lc, spent, _, _ = _fold(bits, k)
+        values[spent : k + 1] = [lc] * (k + 1 - spent)
         k = spent - 1
     return list(enumerate(values))
 
@@ -160,19 +169,3 @@ def k_min_formula(s: PeriodicSequence) -> int:
     gap = (1 << s.exponent) - core._lc_value(s.value, s.exponent)
     return 1 << gap.bit_count()
 
-
-def k_min_search(s: PeriodicSequence, k_cap: int) -> int:
-    """Search companion of k_min_formula: try k = 1, 2, ... up to k_cap.
-
-    Only k of the weight parity of s are tried: a flip pattern of the
-    other parity leaves a period of odd weight, whose complexity 2^n is
-    never below L(s).
-    """
-    if s.value == 0:
-        raise UndefinedForZeroSequence("complexity 0 cannot decrease")
-    base = core._lc_value(s.value, s.exponent)
-    bits = _bits(s)
-    for k in range(2 - s.weight() % 2, k_cap + 1, 2):
-        if _coset_pass(bits, k).value < base:
-            return k
-    raise NotFoundWithinCap(f"no pattern of weight <= {k_cap} lowers {base}")

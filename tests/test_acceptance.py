@@ -9,6 +9,8 @@ import random
 from contextlib import contextmanager
 from itertools import combinations
 
+from test_kerror import k_min_by_search
+
 from lcforge import cosets
 from lcforge.census import (
     CensusQuery,
@@ -30,7 +32,7 @@ from lcforge.core import (
     lc_quad,
 )
 from lcforge.errors import LemmaPreconditionViolated
-from lcforge.kerror import k_error_profile, k_min_formula, k_min_search
+from lcforge.kerror import k_error_profile, k_min_formula
 
 ALL = SequenceClass.ALL
 FULL = SequenceClass.FULL_LC
@@ -139,9 +141,7 @@ def test_criterion_7_parity_identities_and_first_drop():
                 assert levels[4] == levels[3], value
         for value in range(1, 1 << 8):
             s = PeriodicSequence(3, value)
-            k_min = k_min_formula(s)
-            if k_min <= 4:
-                assert k_min_search(s, 4) == k_min, value
+            assert k_min_by_search(s) == k_min_formula(s), value
 
 
 def test_criterion_8_counting_totals_and_additivity():

@@ -18,7 +18,6 @@ from lcforge.census import (
     class_size,
     closed_form,
     formula_counts,
-    interval_covers,
     proportion_interval,
     refutation_report,
     render_csv,
@@ -30,6 +29,18 @@ from lcforge.cosets import _draws
 from lcforge.cli import main
 from lcforge.counting import kavuluru_table1, n3_lcfull, rueppel_count
 from lcforge.errors import InvalidParams, NoFormulaAvailable, TooLarge
+
+
+def interval_covers(
+    count: int, sample_size: int, true_numerator: int, true_denominator: int
+) -> bool:
+    """Exact test that the three-sigma interval contains the truth.
+
+    (c/s - a/b)^2 <= 9/s * c/s * (1 - c/s), times s^3 b^2, in integers.
+    """
+    c, s, a, b = count, sample_size, true_numerator, true_denominator
+    return s * (c * b - a * s) ** 2 <= 9 * c * (s - c) * b * b
+
 
 ALL = SequenceClass.ALL
 FULL = SequenceClass.FULL_LC

@@ -575,9 +575,9 @@ class TestEntryPoint:
             "KErrorResult", "LDecomposition", "LKind", "LSubcase",
             "MAX_EXPONENT", "PeriodicSequence", "RefutationReport",
             "RefutationRow", "Sampled", "SequenceClass", "census_distribution",
-            "class_size", "decompose_L", "f_term", "formula_counts", "g_term",
-            "games_chan_lc", "interval_covers", "k_error_lc", "k_error_profile",
-            "k_min_formula", "k_min_search", "kavuluru_table1",
+            "class_size", "decompose_L", "formula_counts",
+            "games_chan_lc", "k_error_lc", "k_error_profile",
+            "k_min_formula", "kavuluru_table1",
             "lc_by_minimal_polynomial", "lc_pair", "lc_quad", "n1_lcfull",
             "n2_lcless", "n3_lcfull", "parse_binary",
             "parse_hex", "proportion_interval", "refutation_report",

@@ -6,17 +6,8 @@ import pytest
 
 from lcforge import core, kerror
 from lcforge.core import PeriodicSequence, games_chan_lc, lc_by_minimal_polynomial
-from lcforge.errors import (
-    InvalidParams,
-    NotFoundWithinCap,
-    UndefinedForZeroSequence,
-)
-from lcforge.kerror import (
-    k_error_lc,
-    k_error_profile,
-    k_min_formula,
-    k_min_search,
-)
+from lcforge.errors import InvalidParams, UndefinedForZeroSequence
+from lcforge.kerror import k_error_lc, k_error_profile, k_min_formula
 
 # complexity of every packed period, by the halving recurrence
 LC3 = [core._lc_value(value, 3) for value in range(1 << 8)]
@@ -81,6 +72,21 @@ def stamp_martin(bits: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]
         half >>= 1
     paid = bits & (cost <= left)
     return (lc + (bits & ~paid))[..., 0], (budget - left + cost * paid)[..., 0]
+
+
+def k_min_by_search(s: PeriodicSequence) -> int:
+    """Search route for k_min_formula: the least k at which the Stamp-Martin
+    oracle lowers the complexity of a nonzero s.
+
+    Only k of the weight parity of s are tried: a flip pattern of the
+    other parity leaves a period of odd weight, whose complexity 2^n is
+    never below L(s).
+    """
+    base, bits = lc_by_minimal_polynomial(s), kerror._bits(s)
+    for k in range(2 - s.weight() % 2, s.period + 1, 2):
+        if stamp_martin(bits, k)[0] < base:
+            return k
+    raise AssertionError(f"no k <= {s.period} lowers {base}")
 
 
 class TestKErrorLc:
@@ -168,15 +174,15 @@ class TestKErrorLc:
         r = k_error_lc(s, 3)
         assert (r.value, r.witness) == (0, (0, 1, 2))
 
-    def test_one_kernel_call_per_witness(self, monkeypatch):
+    def test_one_fold_per_witness(self, monkeypatch):
         calls = []
-        real = kerror._coset_pass
+        real = kerror._fold
 
         def counted(bits, budget):
             calls.append(budget)
             return real(bits, budget)
 
-        monkeypatch.setattr(kerror, "_coset_pass", counted)
+        monkeypatch.setattr(kerror, "_fold", counted)
         rng = random.Random(8)
         for _ in range(4):
             s = PeriodicSequence(8, rng.getrandbits(256))
@@ -309,8 +315,8 @@ class TestBatchedKernel:
         assert lc.shape == spent.shape == bits.shape[:-1]
         period = bits.shape[-1]
         for row, row_bits in enumerate(bits.reshape(-1, period)):
-            r = kerror._coset_pass(row_bits, budget)
-            assert (lc.flat[row], spent.flat[row]) == (r.value, len(r.witness))
+            value, fewest, _, _ = kerror._fold(row_bits, budget)
+            assert (lc.flat[row], spent.flat[row]) == (value, fewest)
             assert 0 <= lc.flat[row] <= period and 0 <= spent.flat[row] <= budget
 
     def test_rows_equal_single_calls_int64(self):
@@ -371,16 +377,16 @@ class TestProfile:
             s = PeriodicSequence(6, rng.getrandbits(64))
             assert k_error_profile(s, 64) == per_k(s)
 
-    def test_one_kernel_call_per_distinct_value(self, monkeypatch):
+    def test_one_fold_per_distinct_value(self, monkeypatch):
         budgets = []
-        real = kerror._coset_pass
+        real = kerror._fold
 
         def counted(bits, budget):
             budgets.append(budget)
             return real(bits, budget)
 
-        monkeypatch.setattr(kerror, "_coset_pass", counted)
-        # 15 at k = 0, 1 and 0 from k = 2: one pass per value, from k_max down
+        monkeypatch.setattr(kerror, "_fold", counted)
+        # 15 at k = 0, 1 and 0 from k = 2: one fold per value, from k_max down
         s = PeriodicSequence.from_support(4, (0, 1))
         profile = k_error_profile(s, 16)
         assert profile == [(0, 15), (1, 15)] + [(k, 0) for k in range(2, 17)]
@@ -390,6 +396,17 @@ class TestProfile:
             budgets.clear()
             profile = k_error_profile(PeriodicSequence(8, rng.getrandbits(256)), 256)
             assert len(budgets) == len({value for _, value in profile})
+
+    def test_never_reads_a_witness_back(self, monkeypatch):
+        rng = random.Random(5)
+        periods = [PeriodicSequence(n, rng.getrandbits(1 << n)) for n in range(9)]
+        expected = [k_error_profile(s, s.period) for s in periods]
+
+        def refused(bits, choices, value):
+            raise AssertionError("k_error_profile read a witness back")
+
+        monkeypatch.setattr(kerror, "_read_back", refused)
+        assert [k_error_profile(s, s.period) for s in periods] == expected
 
 
 class TestParityIdentities:
@@ -418,29 +435,24 @@ class TestKMin:
         assert k_min_formula(PeriodicSequence.from_support(4, (0, 1))) == 2
         assert k_min_formula(PeriodicSequence.from_support(4, (0, 12))) == 2
 
-    def test_search_examples(self):
-        assert k_min_search(PeriodicSequence.from_support(3, (1,)), 4) == 1
-        assert k_min_search(PeriodicSequence.from_support(4, (0, 1)), 4) == 2
-        assert k_min_search(PeriodicSequence.from_support(4, (0, 4, 8, 12)), 8) == 4
-
     def test_zero_sequence_undefined(self):
         with pytest.raises(UndefinedForZeroSequence):
             k_min_formula(PeriodicSequence(3, 0))
-        with pytest.raises(UndefinedForZeroSequence):
-            k_min_search(PeriodicSequence(3, 0), 4)
-
-    def test_not_found_within_cap(self):
-        s = PeriodicSequence.from_support(2, (0, 1))
-        assert k_min_formula(s) == 2
-        with pytest.raises(NotFoundWithinCap):
-            k_min_search(s, 1)
 
     def test_formula_matches_search_everywhere_n4(self):
-        # the closed form agrees with brute-force search on every nonzero
-        # sequence of period 16 (cap 16 covers the worst case 2^4)
-        for value in range(1, 1 << 16):
-            s = PeriodicSequence(4, value)
-            assert k_min_search(s, 16) == k_min_formula(s), value
+        # the closed form agrees with the least k at which the Stamp-Martin
+        # oracle lowers the complexity, on every nonzero sequence of period
+        # 16; k = 16 covers the worst case 2^4.  The least such k needs no
+        # parity filter: a k of the other parity reaches no more than k - 1
+        values = np.arange(1, 1 << 16)
+        bits = (values[:, None] >> np.arange(16) & 1).astype(bool)
+        base = np.array(LC4[1:])
+        found = np.zeros(len(values), dtype=np.int64)
+        for k in range(1, 17):
+            lowered = (stamp_martin(bits, k)[0] < base) & (found == 0)
+            found[lowered] = k
+        for value, k_min in zip(values.tolist(), found.tolist()):
+            assert k_min == k_min_formula(PeriodicSequence(4, value)), value
 
 
 def _masks_of_weights(period, weights):

@@ -4,10 +4,10 @@ periods with n <= 10."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kerror import brute_k_error, stamp_martin
+from test_kerror import brute_k_error, k_min_by_search, stamp_martin
 
 from lcforge.core import PeriodicSequence, games_chan_lc, lc_by_minimal_polynomial
-from lcforge.kerror import k_error_lc, k_error_profile, k_min_formula, k_min_search
+from lcforge.kerror import k_error_lc, k_error_profile, k_min_formula
 
 # a hundred examples each keep the whole module within a few seconds
 bounded = settings(max_examples=100, deadline=None)
@@ -91,4 +91,4 @@ def test_value_and_witness_equal_brute_force(s, k):
 @bounded
 @given(periods().filter(lambda s: s.value != 0))
 def test_k_min_formula_equals_search(s):
-    assert k_min_formula(s) == k_min_search(s, s.period)
+    assert k_min_formula(s) == k_min_by_search(s)
