@@ -4,7 +4,8 @@ A census tallies, for every complexity value L, how many sequences of
 period N = 2^n have k-error linear complexity exactly L — either over
 all sequences or restricted to one weight-parity class; n <= 5.
 
-The tallies themselves are numpy work in lcforge.cosets, which this
+This module owns the classes and their sizes.  The tallies are numpy
+work in lcforge.cosets, which takes only a weight parity and which this
 module imports, and numpy with it, when the first census runs.
 
 verify_formulas joins a census with the closed forms from
@@ -147,11 +148,6 @@ class CensusReport:
         return render("json", self.payload())
 
 
-def render_json(payload) -> str:
-    """The one JSON renderer: parse-then-re-render is byte identical."""
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -160,25 +156,22 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render_csv(header, rows) -> str:
-    """The one CSV renderer: None is empty, a list joins its items with spaces."""
-    lines = [",".join(header)]
-    lines += [",".join(map(_csv_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def render(fmt: str, payload: dict) -> str:
-    """A payload as "json" (all of it) or "csv".
+    """The one renderer: a payload as "json" (all of it) or "csv".
 
-    CSV is the payload's rows, or the payload itself as one row; the
-    columns are the first row's keys in order, less the JSON-only
-    interval.
+    JSON is indented by 2 with sorted keys, so parsing and re-rendering
+    it is byte identical.  CSV is the payload's rows, or the payload
+    itself as one row; the columns are the first row's keys in order,
+    less the JSON-only interval.  A None cell is empty and a list joins
+    its items with spaces.
     """
     if fmt == "json":
-        return render_json(payload)
+        return json.dumps(payload, sort_keys=True, indent=2)
     rows = payload.get("rows", [payload])
     header = [key for key in rows[0] if key != "interval"]
-    return render_csv(header, ([row[key] for key in header] for row in rows))
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(row[key]) for key in header) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def census_distribution(query: CensusQuery) -> CensusReport:
@@ -186,17 +179,16 @@ def census_distribution(query: CensusQuery) -> CensusReport:
     from . import cosets  # numpy loads here, on the first census only
 
     start = perf_counter()
+    n, k, parity = query.n, query.k, query.seq_class.parity
     if isinstance(query.mode, Exhaustive):
-        counts = cosets._coset_tally(query.n, query.k, query.seq_class)
+        counts = cosets._coset_tally(n, k, parity)
+        counts.append(class_size(n, query.seq_class) - sum(counts))
     else:
         mode = query.mode
-        counts = cosets._sampled_tally(
-            query.n, query.k, query.seq_class, mode.seed, mode.count
-        )
+        counts = cosets._sampled_tally(n, k, parity, mode.seed, mode.count)
     rows = [CensusRow(L, count) for L, count in enumerate(counts)]
     return CensusReport(
-        query.n, query.k, query.seq_class, query.mode, rows,
-        elapsed=perf_counter() - start,
+        n, k, query.seq_class, query.mode, rows, elapsed=perf_counter() - start
     )
 
 

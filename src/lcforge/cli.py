@@ -2,12 +2,13 @@
 
 Subcommands: lc, kerr, profile (single-sequence analysis), count (closed
 forms), census, verify, refute (distribution work).  Every subcommand
-builds one payload and its table lines and hands both to _emit, the one
-reader of --format: the table prints the lines, JSON and CSV render the
-payload (census.render; a census report renders itself).  Every census
-runs in the calling process; census, verify and refute accept --jobs
-and check it, so scripts may pass it, but it changes nothing.  Only
-kerr, profile and the census commands load numpy, when they run.
+builds one payload and hands it to _emit, the one reader of --format,
+with a function that builds its table lines: the table calls it, JSON
+and CSV render the payload (census.render; a census report renders
+itself).  Every census runs in the calling process; census, verify and
+refute accept --jobs and check it, so scripts may pass it, but it
+changes nothing.  Only kerr, profile and the census commands load
+numpy, when they run.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
 finds a formula/census mismatch, 2 on invalid input, 130 on Ctrl-C, 141
@@ -164,15 +165,17 @@ def _check_jobs(args) -> None:
         raise InvalidParams(f"--jobs must be at least 1, got {args.jobs}")
 
 
-def _emit(fmt: str, payload, lines=None) -> None:
+def _emit(fmt: str, payload, table=None) -> None:
     """Print a result in the --format asked for; nothing else reads it.
 
     `payload` is a dict for census.render, or a census report, which
-    renders itself through to_json and to_csv.  The table is `lines`,
-    by default one "key = value" line per payload item.
+    renders itself through to_json and to_csv.  The table is the lines
+    that `table()` returns, called for the table format only, by
+    default one "key = value" line per payload item.
     """
     if fmt == "table":
-        text = "\n".join(lines or (f"{key} = {val}" for key, val in payload.items()))
+        lines = table() if table else (f"{k} = {v}" for k, v in payload.items())
+        text = "\n".join(lines)
     elif isinstance(payload, dict):
         text = census_mod.render(fmt, payload)
     elif fmt == "json":
@@ -218,10 +221,13 @@ def _cmd_profile(args) -> int:
         "kmax": args.kmax,
         "rows": [{"k": k, "Lk": value} for k, value in profile],
     }
-    width = len(str(1 << args.n))
-    lines = [f"{'k':>4}  {'L_k':>{width}}"]
-    lines += [f"{k:>4}  {value:>{width}}" for k, value in profile]
-    _emit(args.format, payload, lines)
+
+    def table():
+        width = len(str(1 << args.n))
+        lines = [f"{'k':>4}  {'L_k':>{width}}"]
+        return lines + [f"{k:>4}  {value:>{width}}" for k, value in profile]
+
+    _emit(args.format, payload, table)
     return 0
 
 
@@ -259,7 +265,7 @@ def _cmd_count(args) -> int:
         "count": count,
     }
     with _whole_decimals():
-        _emit(args.format, payload, [str(count)])
+        _emit(args.format, payload, lambda: [str(count)])
     return 0
 
 
@@ -284,14 +290,14 @@ def _cmd_census(args) -> int:
     query = CensusQuery(args.n, args.k, SequenceClass(args.seq_class), mode)
     _check_jobs(args)  # after the query, whose errors are reported first
     report = census_distribution(query)
-    _emit(args.format, report, _census_lines(report))
+    _emit(args.format, report, lambda: _census_lines(report))
     return 0
 
 
 def _cmd_verify(args) -> int:
     _check_jobs(args)
     report = verify_formulas(args.n, args.k, SequenceClass(args.seq_class))
-    _emit(args.format, report, _census_lines(report))
+    _emit(args.format, report, lambda: _census_lines(report))
     return 0 if report.all_match else 1
 
 
@@ -313,7 +319,7 @@ def _refutation_lines(report) -> list[str]:
 def _cmd_refute(args) -> int:
     _check_jobs(args)
     report = refutation_report()
-    _emit(args.format, report, _refutation_lines(report))
+    _emit(args.format, report, lambda: _refutation_lines(report))
     return 0
 
 

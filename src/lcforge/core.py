@@ -117,10 +117,16 @@ def parse_hex(text: str, exponent: int) -> PeriodicSequence:
     return PeriodicSequence(exponent, int(msb_first[::-1], 2))
 
 
-def _lc_value(value: int, exponent: int) -> int:
-    """Linear complexity of a packed period value by iterative halving."""
-    lc = 0
-    for t in range(exponent, 0, -1):
+def games_chan_lc(s: PeriodicSequence) -> int:
+    """Linear complexity of s by the Games-Chan halving algorithm.
+
+    At period length 2^t, equal halves mean the complexity lives entirely
+    in the half-length sequence; unequal halves contribute 2^(t-1) plus
+    the complexity of the XOR of the halves.  A final length-1 period
+    contributes its single bit.  The all-zero sequence has complexity 0.
+    """
+    value, lc = s.value, 0
+    for t in range(s.exponent, 0, -1):
         half = 1 << (t - 1)
         left = value & ((1 << half) - 1)
         right = value >> half
@@ -130,17 +136,6 @@ def _lc_value(value: int, exponent: int) -> int:
             lc += half
             value = left ^ right
     return lc + (value & 1)
-
-
-def games_chan_lc(s: PeriodicSequence) -> int:
-    """Linear complexity of s by the Games-Chan halving algorithm.
-
-    At period length 2^t, equal halves mean the complexity lives entirely
-    in the half-length sequence; unequal halves contribute 2^(t-1) plus
-    the complexity of the XOR of the halves.  A final length-1 period
-    contributes its single bit.  The all-zero sequence has complexity 0.
-    """
-    return _lc_value(s.value, s.exponent)
 
 
 def _prefix_xor(value: int, width: int) -> int:

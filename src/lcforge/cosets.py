@@ -1,5 +1,8 @@
 """The numpy engines behind lcforge.census: coset counts and sampled draws.
 
+Every routine takes the weight parity of the sequences it counts or
+draws, 1, 0 or None for any; lcforge.census maps its classes to these.
+
 Exhaustive censuses score no sequence.  L(s) is N minus the multiplicity
 of (1+x) in s(x), so the periods with L <= c are the 2^c multiples of
 (1+x)^(N-c), and L_k(s) <= c holds exactly when some error pattern of
@@ -19,8 +22,6 @@ from __future__ import annotations
 from hashlib import blake2b
 
 import numpy as np
-
-from .census import SequenceClass, class_size
 
 # draws scored at once: bounds a sampled census's temporaries for any count
 _BLOCK_ROWS = 1 << 13
@@ -57,39 +58,39 @@ def _light_words(n: int, k: int, parity: int | None) -> np.ndarray:
     return np.sort(_lucas(_pattern_words(n, k, parity), n))
 
 
-def _coset_tally(n: int, k: int, seq_class: SequenceClass) -> list[int]:
-    """Exact per-L census of the class, counted by cosets of (1+x)^m.
+def _coset_tally(n: int, k: int, parity: int | None) -> list[int]:
+    """Exact per-L census of the sequences of that parity, for L < N.
 
     Write a pattern e as the sum of a_j (1+x)^j; by Lucas' theorem a_j is
     the XOR of e_i over every i whose bits contain j's bits, and e mod
     (1+x)^m is fixed by a_0..a_(m-1).  With a_j packed at bit N-1-j, the
     number D(m) of distinct residues mod (1+x)^m is one more than the
-    number of adjacent sorted words that differ in their top m bits.
-    #{L_k <= c} is then 2^c * D(N-c) for c < N.  Every multiple of (1+x)
-    has even weight, so the full class counts odd-weight patterns only
-    and the less class even-weight ones.
+    number of adjacent sorted words that differ in their top m bits, or
+    0 when no pattern is light.  #{L_k <= c} is then 2^c * D(N-c) for
+    c < N.  Every multiple of (1+x) has even weight, so odd-weight
+    sequences are reached by odd-weight patterns only and even-weight
+    sequences by even-weight ones.  The row at L = N is the rest of the
+    class, which the caller knows.
     """
     period = 1 << n
-    words = _light_words(n, k, seq_class.parity)
-    if not len(words):  # the full class with k = 0
-        return [0] * period + [class_size(n, seq_class)]
+    words = _light_words(n, k, parity)
     # bit length of each adjacent XOR, 0 for a repeated word; frexp is
     # exact below 2^53 (n <= 5), here and in _sampled_tally
     _, lengths = np.frexp(words[1:] ^ words[:-1])
     longer = np.bincount(lengths, minlength=period + 1)[::-1].cumsum()[::-1]
-    at_most = [(1 << c) * (1 + int(longer[c + 1])) for c in range(period)]
-    at_most.append(class_size(n, seq_class))
+    distinct = min(len(words), 1)
+    at_most = [(1 << c) * (distinct + int(longer[c + 1])) for c in range(period)]
     return [at_most[0]] + [b - a for a, b in zip(at_most, at_most[1:])]
 
 
-def _draws(seed: int, lo: int, hi: int, n: int, seq_class: SequenceClass) -> np.ndarray:
+def _draws(seed: int, lo: int, hi: int, n: int, parity: int | None) -> np.ndarray:
     """Draws lo..hi-1 of the stream keyed by `seed`, packed as uint64.
 
-    Draw i hashes (seed, i) with blake2b and then forces the class
-    parity.  For a parity class, 2^n - 1 hash bits choose the low
-    positions freely and the top position is set to fix the parity;
-    every class member arises from exactly one bit string, so draws are
-    uniform on the class.
+    Draw i hashes (seed, i) with blake2b and then forces the weight
+    parity, if one is given: 2^n - 1 hash bits choose the low positions
+    freely and the top position is set to fix the parity; every period
+    of that parity arises from exactly one bit string, so draws are
+    uniform on them.
     """
     keyed = blake2b(seed.to_bytes(8, "big"), digest_size=8)
     digests = bytearray()
@@ -98,7 +99,7 @@ def _draws(seed: int, lo: int, hi: int, n: int, seq_class: SequenceClass) -> np.
         draw.update(index.to_bytes(8, "big"))
         digests += draw.digest()
     words = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
-    period, parity = 1 << n, seq_class.parity
+    period = 1 << n
     if parity is None:
         return words & np.uint64((1 << period) - 1)
     free = words & np.uint64((1 << (period - 1)) - 1)
@@ -107,15 +108,15 @@ def _draws(seed: int, lo: int, hi: int, n: int, seq_class: SequenceClass) -> np.
 
 
 def _sampled_tally(
-    n: int, k: int, seq_class: SequenceClass, seed: int, count: int
+    n: int, k: int, parity: int | None, seed: int, count: int
 ) -> list[int]:
     """Per-L tally of the first `count` draws, scored by their nearest light words."""
-    # all patterns of weight <= k, whatever the class: 0 is always one
+    # all patterns of weight <= k, whatever the parity: 0 is always one
     light = _light_words(n, k, None)
     tally = np.zeros((1 << n) + 1, dtype=np.int64)
     for start in range(0, count, _BLOCK_ROWS):
         end = min(count, start + _BLOCK_ROWS)
-        words = _lucas(_draws(seed, start, end, n, seq_class), n)
+        words = _lucas(_draws(seed, start, end, n, parity), n)
         above = np.searchsorted(light, words)
         left = light[np.maximum(above, 1) - 1]
         right = light[np.minimum(above, len(light) - 1)]

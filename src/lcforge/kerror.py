@@ -1,4 +1,4 @@
-"""Exact k-error linear complexity by the Stamp-Martin algorithm.
+"""k-error linear complexity by one halving fold with the Stamp-Martin budget test.
 
 The k-error linear complexity L_k(s) is the smallest complexity reachable
 by flipping at most k positions within one period; flips repeat in every
@@ -166,6 +166,6 @@ def k_min_formula(s: PeriodicSequence) -> int:
     """
     if s.value == 0:
         raise UndefinedForZeroSequence("complexity 0 cannot decrease")
-    gap = (1 << s.exponent) - core._lc_value(s.value, s.exponent)
+    gap = (1 << s.exponent) - core.games_chan_lc(s)
     return 1 << gap.bit_count()
 

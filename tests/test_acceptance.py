@@ -25,7 +25,6 @@ from lcforge.census import (
 from lcforge.cli import main
 from lcforge.core import (
     PeriodicSequence,
-    _lc_value,
     games_chan_lc,
     lc_by_minimal_polynomial,
     lc_pair,
@@ -110,14 +109,14 @@ def test_criterion_6_two_and_four_point_closed_forms():
         for n in range(1, 7):
             period = 1 << n
             for i, j in combinations(range(period), 2):
-                mask = (1 << i) | (1 << j)
-                assert lc_pair(i, j, n) == _lc_value(mask, n), (n, i, j)
+                pair = PeriodicSequence.from_support(n, (i, j))
+                assert lc_pair(i, j, n) == games_chan_lc(pair), (n, i, j)
         accepted = 0
         for n in range(2, 6):
             period = 1 << n
             for a, b, c, d in combinations(range(period), 4):
                 mask = (1 << a) | (1 << b) | (1 << c) | (1 << d)
-                expected = _lc_value(mask, n)
+                expected = games_chan_lc(PeriodicSequence(n, mask))
                 for i, j, k, l in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
                     try:
                         value = lc_quad(i, j, k, l, n)

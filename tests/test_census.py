@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from test_kerror import stamp_martin
 
-from lcforge import census, cosets
+from lcforge import cosets
 from lcforge.census import (
     CensusQuery,
     Exhaustive,
@@ -20,8 +20,7 @@ from lcforge.census import (
     formula_counts,
     proportion_interval,
     refutation_report,
-    render_csv,
-    render_json,
+    render,
     verify_formulas,
 )
 from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
@@ -163,7 +162,7 @@ def _sampled_tally(monkeypatch, values, n, k, seq_class):
     """The sampled census scorer's tally of the given packed periods."""
     # _draws returns a fresh array, which the scorer transforms in place
     monkeypatch.setattr(cosets, "_draws", lambda seed, lo, hi, *_: values[lo:hi].copy())
-    return cosets._sampled_tally(n, k, seq_class, 0, len(values))
+    return cosets._sampled_tally(n, k, seq_class.parity, 0, len(values))
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +172,7 @@ def every_period_of_16():
     return values, [_kernel_lc(values, 4, k) for k in range(5)]
 
 
-class TestOrbits:
+class TestAgainstEveryPeriod:
     def test_weighted_census_equals_a_tally_of_every_period(self, every_period_of_16):
         # the Stamp-Martin kernel on every period of 16: the oracle for the
         # coset count, which scores no sequence
@@ -185,7 +184,7 @@ class TestOrbits:
                 report = exhaustive(4, k, seq_class)
                 assert [row.census for row in report.rows] == tally, (k, seq_class)
 
-    def test_shard_scorer_equals_a_tally_of_every_period(
+    def test_sampled_scorer_equals_a_tally_of_every_period(
         self, every_period_of_16, monkeypatch
     ):
         # the nearest light coset word against the kernel, over every period
@@ -334,13 +333,13 @@ class TestSampledCensus:
 
     def test_draws_are_pinned(self):
         # the stream is blake2b-8 of (seed, index), both 8 bytes big-endian
-        assert _draws(2024, 0, 3, 5, ALL).tolist() == [0x83E5712, 0x4AC7EB65, 0x911699B2]
-        assert _draws(2024, 9999, 10000, 5, ALL).tolist() == [0x925C455F]
-        assert _draws(2024, 0, 3, 4, FULL).tolist() == [0x5712, 0x6B65, 0x19B2]
-        assert _draws(2024, 1, 3, 3, LESS).tolist() == [0x65, 0xB2]
-        values = _draws(5, 0, 500, 4, FULL)
+        assert _draws(2024, 0, 3, 5, None).tolist() == [0x83E5712, 0x4AC7EB65, 0x911699B2]
+        assert _draws(2024, 9999, 10000, 5, None).tolist() == [0x925C455F]
+        assert _draws(2024, 0, 3, 4, 1).tolist() == [0x5712, 0x6B65, 0x19B2]
+        assert _draws(2024, 1, 3, 3, 0).tolist() == [0x65, 0xB2]
+        values = _draws(5, 0, 500, 4, 1)
         assert (np.bitwise_count(values) % 2 == 1).all()
-        assert _draws(5, 100, 200, 4, FULL).tolist() == values[100:200].tolist()
+        assert _draws(5, 100, 200, 4, 1).tolist() == values[100:200].tolist()
 
     def test_class_draws_respect_the_class(self):
         # with no errors allowed, every odd-weight draw sits at full complexity
@@ -366,7 +365,7 @@ class TestSampledCensus:
         for seq_class in (ALL, FULL, LESS):
             query = CensusQuery(5, k, seq_class, Sampled(draws, seed))
             tally = [0] * 33
-            for value in _draws(seed, 0, draws, 5, seq_class).tolist():
+            for value in _draws(seed, 0, draws, 5, seq_class.parity).tolist():
                 tally[
                     min(
                         lc_by_minimal_polynomial(PeriodicSequence(5, value ^ mask))
@@ -379,7 +378,7 @@ class TestSampledCensus:
     def test_n5_matches_the_kernel_over_the_same_draws(self):
         seed, draws = 23, 4096
         for seq_class in (ALL, FULL, LESS):
-            values = _draws(seed, 0, draws, 5, seq_class)
+            values = _draws(seed, 0, draws, 5, seq_class.parity)
             for k in range(5):
                 tally = np.bincount(_kernel_lc(values, 5, k), minlength=33).tolist()
                 query = CensusQuery(5, k, seq_class, Sampled(draws, seed))
@@ -446,28 +445,28 @@ class TestSerialisation:
             verify_formulas(3, 2, LESS),
         ):
             text = report.to_json()
-            assert render_json(json.loads(text)) == text
+            assert render("json", json.loads(text)) == text
 
     def test_csv_cells(self):
         # None is empty, a list joins its items with spaces, the rest is str
-        text = render_csv(("a", "b", "c"), [(None, [1, 20], "x"), (0, [], 5)])
+        rows = [{"a": None, "b": [1, 20], "c": "x"}, {"a": 0, "b": [], "c": 5}]
+        text = render("csv", {"rows": rows})
         assert text == "a,b,c\n,1 20,x\n0,,5\n"
-        assert render_csv(("k", "Lk"), []) == "k,Lk\n"
 
-    def test_render_csv_is_the_rows_or_the_payload_as_one_row(self):
+    def test_csv_is_the_rows_or_the_payload_as_one_row(self):
         payload = {"n": 2, "rows": [{"L": 0, "census": 3, "interval": [0.5, 1.0]}]}
-        assert census.render("json", payload) == render_json(payload)
+        assert render("json", payload) == json.dumps(payload, sort_keys=True, indent=2)
         # the JSON-only interval is no column
-        assert census.render("csv", payload) == "L,census\n0,3\n"
+        assert render("csv", payload) == "L,census\n0,3\n"
         row = {"n": 4, "witness": [1, 6], "formula": None}
-        assert census.render("csv", row) == "n,witness,formula\n4,1 6,\n"
+        assert render("csv", row) == "n,witness,formula\n4,1 6,\n"
 
     def test_reports_render_their_payload(self, report):
         sampled = census_distribution(CensusQuery(3, 1, LESS, Sampled(32, seed=2)))
         for each in (sampled, verify_formulas(3, 2, LESS), report):
             payload = each.payload()
-            assert each.to_json() == census.render("json", payload)
-            assert each.to_csv() == census.render("csv", payload)
+            assert each.to_json() == render("json", payload)
+            assert each.to_csv() == render("csv", payload)
 
     def test_stable_json_excludes_timing(self):
         report = exhaustive(2, 1, ALL)
@@ -511,7 +510,7 @@ class TestRefutation:
         assert lines[0] == "L,census,theorem,fixture,verdict"
         assert len(lines) == 17
         text = report.to_json()
-        assert render_json(json.loads(text)) == text
+        assert render("json", json.loads(text)) == text
         payload = json.loads(text)
         assert payload["mismatched_L"] == [4, 5, 6, 7, 10, 11]
         assert "elapsed" not in text

@@ -9,7 +9,16 @@ import pytest
 
 import lcforge
 from lcforge import cli
-from lcforge.census import SequenceClass, closed_form, render_json
+from lcforge.census import (
+    CensusQuery,
+    Exhaustive,
+    SequenceClass,
+    census_distribution,
+    closed_form,
+    refutation_report,
+    render,
+    verify_formulas,
+)
 from lcforge.cli import main
 from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
 from lcforge.counting import n2_lcless
@@ -347,7 +356,7 @@ class TestCensus:
             capsys, "census", "--n", "3", "--k", "2", "--format", "json"
         )
         assert code == 0
-        assert render_json(json.loads(out)) + "\n" == out
+        assert render("json", json.loads(out)) + "\n" == out
 
     def test_table_totals(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--n", "3", "--k", "1")
@@ -511,6 +520,26 @@ class TestRefute:
         assert lines[0] == "L,census,theorem,fixture,verdict"
         assert lines[5] == "4,2824,2824,5128,FixtureWrong"
         assert len(lines) == 17
+
+
+def test_json_and_csv_build_no_table_lines(capsys, monkeypatch):
+    # the table lines are built for --format table only
+    def table_lines(report):
+        raise AssertionError("table lines built for json or csv")
+
+    monkeypatch.setattr(cli, "_census_lines", table_lines)
+    monkeypatch.setattr(cli, "_refutation_lines", table_lines)
+    cases = [
+        (["census", "--n", "3", "--k", "2"],
+         census_distribution(CensusQuery(3, 2, SequenceClass.ALL, Exhaustive()))),
+        (["verify", "--n", "3", "--k", "2", "--class", "less"],
+         verify_formulas(3, 2, SequenceClass.LESS_LC)),
+        (["refute"], refutation_report()),
+    ]
+    for argv, report in cases:
+        for fmt, text in (("json", report.to_json()), ("csv", report.to_csv())):
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, out) == (0, text.removesuffix("\n") + "\n"), (argv, fmt)
 
 
 class TestExitCodes:

@@ -3,7 +3,6 @@ from itertools import combinations
 
 import pytest
 
-from lcforge import core
 from lcforge.core import (
     PeriodicSequence,
     games_chan_lc,
@@ -22,8 +21,8 @@ from lcforge.errors import (
 )
 
 # complexity of every packed period, by the halving recurrence
-LC3 = [core._lc_value(value, 3) for value in range(1 << 8)]
-LC4 = [core._lc_value(value, 4) for value in range(1 << 16)]
+LC3 = [games_chan_lc(PeriodicSequence(3, value)) for value in range(1 << 8)]
+LC4 = [games_chan_lc(PeriodicSequence(4, value)) for value in range(1 << 16)]
 
 
 class TestPeriodicSequence:

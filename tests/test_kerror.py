@@ -4,14 +4,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lcforge import core, kerror
+from lcforge import kerror
 from lcforge.core import PeriodicSequence, games_chan_lc, lc_by_minimal_polynomial
 from lcforge.errors import InvalidParams, UndefinedForZeroSequence
 from lcforge.kerror import k_error_lc, k_error_profile, k_min_formula
 
 # complexity of every packed period, by the halving recurrence
-LC3 = [core._lc_value(value, 3) for value in range(1 << 8)]
-LC4 = [core._lc_value(value, 4) for value in range(1 << 16)]
+LC3 = [games_chan_lc(PeriodicSequence(3, value)) for value in range(1 << 8)]
+LC4 = [games_chan_lc(PeriodicSequence(4, value)) for value in range(1 << 16)]
 
 
 def brute_k_error(s: PeriodicSequence, k: int):
@@ -118,14 +118,6 @@ class TestKErrorLc:
         for value in range(1 << 8):
             if LC3[value] == 8:
                 assert k_error_lc(PeriodicSequence(3, value), 3).value != 2
-
-    def test_matches_brute_oracle_exhaustive_n2(self):
-        for value in range(1 << 4):
-            s = PeriodicSequence(2, value)
-            for k in range(5):
-                r = k_error_lc(s, k)
-                expected = brute_k_error(s, k)
-                assert (r.value, r.witness) == expected, (value, k)
 
     def test_matches_brute_oracle_sampled(self):
         rng = random.Random(7)
@@ -308,7 +300,7 @@ class TestAgainstBruteForce:
             ]
 
 
-class TestBatchedKernel:
+class TestFoldMatchesOracle:
     @staticmethod
     def _rows_match(bits, budget):
         lc, spent = stamp_martin(bits, budget)
