@@ -27,7 +27,7 @@ from math import sqrt
 from time import perf_counter
 
 from . import counting
-from .errors import InvalidParams, NoFormulaAvailable, TooLarge
+from .errors import InvalidParams, NoFormulaAvailable
 
 MAX_CENSUS_EXPONENT = 5
 MAX_ERRORS = 4
@@ -70,7 +70,7 @@ class CensusQuery:
 
     def __post_init__(self):
         if not 0 <= self.n <= MAX_CENSUS_EXPONENT:
-            raise TooLarge(
+            raise InvalidParams(
                 f"census supports n <= {MAX_CENSUS_EXPONENT}, got {self.n}"
             )
         most = min(MAX_ERRORS, 1 << self.n)

@@ -19,13 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    InvalidDigit,
-    InvalidPeriod,
-    InvalidSupport,
-    LemmaPreconditionViolated,
-    PeriodMismatch,
-)
+from .errors import InvalidParams
 
 # One period is 2^MAX_EXPONENT bits at most; beyond this, single-sequence
 # operations stop being interactive.
@@ -41,7 +35,7 @@ _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 def _check_exponent(exponent: int) -> None:
     if not 0 <= exponent <= MAX_EXPONENT:
-        raise InvalidPeriod(f"exponent must be in [0, {MAX_EXPONENT}], got {exponent}")
+        raise InvalidParams(f"exponent must be in [0, {MAX_EXPONENT}], got {exponent}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,7 @@ class PeriodicSequence:
     def __post_init__(self):
         _check_exponent(self.exponent)
         if not 0 <= self.value < (1 << self.period):
-            raise InvalidPeriod("packed value does not fit in one period")
+            raise InvalidParams("packed value does not fit in one period")
 
     @property
     def period(self) -> int:
@@ -68,9 +62,9 @@ class PeriodicSequence:
         marks = bytearray(period)
         for pos in positions:
             if not 0 <= pos < period:
-                raise InvalidSupport(f"position {pos} outside [0, {period})")
+                raise InvalidParams(f"position {pos} outside [0, {period})")
             if marks[pos]:
-                raise InvalidSupport(f"position {pos} listed twice")
+                raise InvalidParams(f"position {pos} listed twice")
             marks[pos] = 1
         return cls(exponent, int(marks[::-1].translate(_TO_DIGITS), 2))
 
@@ -80,7 +74,7 @@ class PeriodicSequence:
 
     def __xor__(self, other: PeriodicSequence) -> PeriodicSequence:
         if self.exponent != other.exponent:
-            raise PeriodMismatch(
+            raise InvalidParams(
                 f"cannot add periods 2^{self.exponent} and 2^{other.exponent}"
             )
         return PeriodicSequence(self.exponent, self.value ^ other.value)
@@ -91,10 +85,10 @@ def parse_binary(text: str, exponent: int) -> PeriodicSequence:
     _check_exponent(exponent)
     period = 1 << exponent
     if len(text) != period:
-        raise InvalidPeriod(f"expected {period} binary characters, got {len(text)}")
+        raise InvalidParams(f"expected {period} binary characters, got {len(text)}")
     bad = _NOT_BINARY.search(text)
     if bad:
-        raise InvalidDigit(f"character {bad[0]!r} at index {bad.start()} is not 0/1")
+        raise InvalidParams(f"character {bad[0]!r} at index {bad.start()} is not 0/1")
     # int() would also take "_", "+" and whitespace, hence the check first
     return PeriodicSequence(exponent, int(text[::-1], 2))
 
@@ -103,13 +97,13 @@ def parse_hex(text: str, exponent: int) -> PeriodicSequence:
     """Parse one period from hex digits, most significant bit first."""
     _check_exponent(exponent)
     if exponent < 2:
-        raise InvalidPeriod("hex input needs a period of at least 4 bits")
+        raise InvalidParams("hex input needs a period of at least 4 bits")
     period = 1 << exponent
     if len(text) != period // 4:
-        raise InvalidPeriod(f"expected {period // 4} hex characters, got {len(text)}")
+        raise InvalidParams(f"expected {period // 4} hex characters, got {len(text)}")
     bad = _NOT_HEX.search(text)
     if bad:
-        raise InvalidDigit(
+        raise InvalidParams(
             f"character {bad[0]!r} at index {bad.start()} is not a hex digit"
         )
     # MSB of the hex number is position 0, so reverse the bit order.
@@ -180,7 +174,7 @@ def lc_pair(i: int, j: int, exponent: int) -> int:
     """
     period = 1 << exponent
     if not 0 <= i < j < period:
-        raise InvalidSupport(f"need 0 <= i < j < {period}, got i={i}, j={j}")
+        raise InvalidParams(f"need 0 <= i < j < {period}, got i={i}, j={j}")
     return period - (1 << _two_adic(j - i))
 
 
@@ -201,17 +195,17 @@ def lc_quad(i: int, j: int, k: int, l: int, exponent: int) -> int:
     period = 1 << exponent
     points = (i, j, k, l)
     if len(set(points)) != 4:
-        raise LemmaPreconditionViolated(f"positions must be distinct, got {points}")
+        raise InvalidParams(f"positions must be distinct, got {points}")
     if not all(0 <= p < period for p in points):
-        raise LemmaPreconditionViolated(f"positions must lie in [0, {period})")
+        raise InvalidParams(f"positions must lie in [0, {period})")
     if not (i < j and i < k < l):
-        raise LemmaPreconditionViolated("need i < j and i < k < l")
+        raise InvalidParams("need i < j and i < k < l")
     if (k - i) % 2 == 0:
-        raise LemmaPreconditionViolated(f"k - i must be odd, got {k - i}")
+        raise InvalidParams(f"k - i must be odd, got {k - i}")
     d = _two_adic(j - i)
     e = _two_adic(l - k)
     if d == e == 0 and ((j - i) + (l - k)) % 4 == 0:
-        raise LemmaPreconditionViolated(
+        raise InvalidParams(
             "gaps j - i and l - k both odd with sum divisible by 4:"
             " regroup the pairs by position parity"
         )

@@ -58,6 +58,15 @@ def _light_words(n: int, k: int, parity: int | None) -> np.ndarray:
     return np.sort(_lucas(_pattern_words(n, k, parity), n))
 
 
+def _bit_lengths(words: np.ndarray) -> np.ndarray:
+    """The bit length of each uint64 word, 0 for 0.
+
+    frexp goes through float64, so it is exact below 2^53: every word of
+    a period of at most 32 bits (n <= 5), the census cap.
+    """
+    return np.frexp(words)[1]
+
+
 def _coset_tally(n: int, k: int, parity: int | None) -> list[int]:
     """Exact per-L census of the sequences of that parity, for L < N.
 
@@ -74,9 +83,8 @@ def _coset_tally(n: int, k: int, parity: int | None) -> list[int]:
     """
     period = 1 << n
     words = _light_words(n, k, parity)
-    # bit length of each adjacent XOR, 0 for a repeated word; frexp is
-    # exact below 2^53 (n <= 5), here and in _sampled_tally
-    _, lengths = np.frexp(words[1:] ^ words[:-1])
+    # 0 for a repeated word
+    lengths = _bit_lengths(words[1:] ^ words[:-1])
     longer = np.bincount(lengths, minlength=period + 1)[::-1].cumsum()[::-1]
     distinct = min(len(words), 1)
     at_most = [(1 << c) * (distinct + int(longer[c + 1])) for c in range(period)]
@@ -120,6 +128,6 @@ def _sampled_tally(
         above = np.searchsorted(light, words)
         left = light[np.maximum(above, 1) - 1]
         right = light[np.minimum(above, len(light) - 1)]
-        _, lengths = np.frexp(np.minimum(words ^ left, words ^ right))
+        lengths = _bit_lengths(np.minimum(words ^ left, words ^ right))
         tally += np.bincount(lengths, minlength=len(tally))
     return tally.tolist()

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .errors import InvalidL, InvalidParams
+from .errors import InvalidParams
 
 
 class LKind(Enum):
@@ -64,9 +64,9 @@ class LDecomposition:
 
 def _check_L(n: int, L: int) -> None:
     if n < 0:
-        raise InvalidL(f"period exponent must be non-negative, got {n}")
+        raise InvalidParams(f"period exponent must be non-negative, got {n}")
     if not 0 <= L <= (1 << n):
-        raise InvalidL(f"L must be in [0, {1 << n}], got {L}")
+        raise InvalidParams(f"L must be in [0, {1 << n}], got {L}")
 
 
 def decompose_L(n: int, L: int) -> LDecomposition:
@@ -185,5 +185,5 @@ _TABLE1 = (
 def kavuluru_table1(L: int) -> int:
     """The published period-16 3-error count for L in [0, 15], as printed."""
     if not 0 <= L <= 15:
-        raise InvalidL(f"the published table covers L in [0, 15], got {L}")
+        raise InvalidParams(f"the published table covers L in [0, 15], got {L}")
     return _TABLE1[L]

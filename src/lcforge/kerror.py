@@ -37,7 +37,7 @@ import numpy as np
 
 from . import core
 from .core import PeriodicSequence
-from .errors import InvalidParams, UndefinedForZeroSequence
+from .errors import InvalidParams
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def k_min_formula(s: PeriodicSequence) -> int:
     whose complexity 0 cannot drop.
     """
     if s.value == 0:
-        raise UndefinedForZeroSequence("complexity 0 cannot decrease")
+        raise InvalidParams("complexity 0 cannot decrease")
     gap = (1 << s.exponent) - core.games_chan_lc(s)
     return 1 << gap.bit_count()
 

@@ -6,9 +6,11 @@ line into its captured output.
 """
 
 import random
+import re
 from contextlib import contextmanager
 from itertools import combinations
 
+from test_core import LEMMA_PRECONDITIONS
 from test_kerror import k_min_by_search
 
 from lcforge import cosets
@@ -30,7 +32,7 @@ from lcforge.core import (
     lc_pair,
     lc_quad,
 )
-from lcforge.errors import LemmaPreconditionViolated
+from lcforge.errors import InvalidParams
 from lcforge.kerror import k_error_profile, k_min_formula
 
 ALL = SequenceClass.ALL
@@ -120,7 +122,9 @@ def test_criterion_6_two_and_four_point_closed_forms():
                 for i, j, k, l in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
                     try:
                         value = lc_quad(i, j, k, l, n)
-                    except LemmaPreconditionViolated:
+                    except InvalidParams as exc:
+                        # a < b < c < d fail only the two lemma preconditions
+                        assert re.match(LEMMA_PRECONDITIONS, str(exc)), exc
                         continue
                     accepted += 1
                     assert value == expected, (n, i, j, k, l)

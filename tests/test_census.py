@@ -27,7 +27,7 @@ from lcforge.core import PeriodicSequence, lc_by_minimal_polynomial
 from lcforge.cosets import _draws
 from lcforge.cli import main
 from lcforge.counting import kavuluru_table1, n3_lcfull, rueppel_count
-from lcforge.errors import InvalidParams, NoFormulaAvailable, TooLarge
+from lcforge.errors import InvalidParams, NoFormulaAvailable
 
 
 def interval_covers(
@@ -74,30 +74,30 @@ def cli_bytes(capsys, argv):
 
 class TestQueryValidation:
     def test_rejects_big_n(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(InvalidParams, match="^census supports n <= 5, got 6$"):
             CensusQuery(6, 0, ALL, Sampled(10))
 
     def test_exhaustive_capped_below_sampled(self):
         # one ceiling serves both modes
-        with pytest.raises(TooLarge):
+        with pytest.raises(InvalidParams, match="^census supports n <= 5, got 6$"):
             CensusQuery(6, 0, ALL, Exhaustive())
         CensusQuery(5, 0, ALL, Exhaustive())  # fine
         CensusQuery(5, 0, ALL, Sampled(10))  # fine
 
     def test_rejects_bad_k(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match=r"k in \[0, 4\] at n = 4, got 5$"):
             CensusQuery(4, 5, ALL, Exhaustive())
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match=r"k in \[0, 4\] at n = 4, got -1$"):
             CensusQuery(4, -1, ALL, Exhaustive())
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match=r"k in \[0, 1\] at n = 0, got 2$"):
             CensusQuery(0, 2, ALL, Exhaustive())  # only one bit to flip
 
     def test_rejects_bad_sampling(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^sample count must be at least 1$"):
             Sampled(10) and CensusQuery(4, 0, ALL, Sampled(0))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^seed must fit in 64 bits$"):
             CensusQuery(4, 0, ALL, Sampled(10, seed=-1))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^seed must fit in 64 bits$"):
             CensusQuery(4, 0, ALL, Sampled(10, seed=1 << 64))
 
     def test_class_size(self):

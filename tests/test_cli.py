@@ -615,6 +615,18 @@ class TestEntryPoint:
         for name in lcforge.__all__:
             assert getattr(lcforge, name) is not None, name
 
+    def test_error_classes_are_pinned(self):
+        # one class per failure that a caller tells apart; the message
+        # names the check that fired
+        classes = {
+            name: value
+            for name, value in vars(lcforge.errors).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+        }
+        assert sorted(classes) == ["InvalidParams", "LcforgeError", "NoFormulaAvailable"]
+        for cls in classes.values():
+            assert issubclass(cls, lcforge.errors.LcforgeError), cls
+
     @pytest.mark.parametrize(
         "script",
         [

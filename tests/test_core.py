@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -12,13 +13,11 @@ from lcforge.core import (
     parse_binary,
     parse_hex,
 )
-from lcforge.errors import (
-    InvalidDigit,
-    InvalidPeriod,
-    InvalidSupport,
-    LemmaPreconditionViolated,
-    PeriodMismatch,
-)
+from lcforge.errors import InvalidParams
+
+# the messages of lc_quad's two lemma preconditions, the checks that
+# remain once positions are distinct, in range and ordered
+LEMMA_PRECONDITIONS = r"k - i must be odd|gaps j - i and l - k both odd"
 
 # complexity of every packed period, by the halving recurrence
 LC3 = [games_chan_lc(PeriodicSequence(3, value)) for value in range(1 << 8)]
@@ -29,24 +28,24 @@ class TestPeriodicSequence:
     def test_period_and_validation(self):
         assert PeriodicSequence(4, 0).period == 16
         assert PeriodicSequence(0, 1).period == 1
-        with pytest.raises(InvalidPeriod):
+        with pytest.raises(InvalidParams, match=r"^exponent must be in \[0, 20\], got 21$"):
             PeriodicSequence(21, 0)
-        with pytest.raises(InvalidPeriod):
+        with pytest.raises(InvalidParams, match=r"^exponent must be in \[0, 20\], got -1$"):
             PeriodicSequence(-1, 0)
-        with pytest.raises(InvalidPeriod):
+        with pytest.raises(InvalidParams, match="^packed value does not fit in one period"):
             PeriodicSequence(2, 16)  # five bits do not fit a period of 4
-        with pytest.raises(InvalidPeriod):
+        with pytest.raises(InvalidParams, match="^packed value does not fit in one period"):
             PeriodicSequence(2, -1)
 
     def test_from_support(self):
         s = PeriodicSequence.from_support(4, (0, 12))
         assert s.value == 1 | 1 << 12
         assert s.weight() == 2
-        with pytest.raises(InvalidSupport, match="position 16 outside"):
+        with pytest.raises(InvalidParams, match="position 16 outside"):
             PeriodicSequence.from_support(4, (16,))
-        with pytest.raises(InvalidSupport, match="position -1 outside"):
+        with pytest.raises(InvalidParams, match="position -1 outside"):
             PeriodicSequence.from_support(4, (-1,))
-        with pytest.raises(InvalidSupport, match="position 3 listed twice"):
+        with pytest.raises(InvalidParams, match="position 3 listed twice"):
             PeriodicSequence.from_support(4, (3, 3))
 
     def test_conversions_match_positionwise_definitions(self):
@@ -83,33 +82,33 @@ class TestParse:
         assert parse_hex("6", 2) == parse_binary("0110", 2)
 
     def test_bad_digits(self):
-        with pytest.raises(InvalidDigit):
+        with pytest.raises(InvalidParams, match="'2' at index 2 is not 0/1$"):
             parse_binary("0120", 2)
-        with pytest.raises(InvalidDigit):
+        with pytest.raises(InvalidParams, match="'g' at index 1 is not a hex digit$"):
             parse_hex("0g10", 4)
-        with pytest.raises(InvalidDigit):
+        with pytest.raises(InvalidParams, match="' ' at index 0 is not a hex digit$"):
             parse_hex(" 1", 3)  # whitespace is the caller's problem
-        with pytest.raises(InvalidDigit):
+        with pytest.raises(InvalidParams, match="'-' at index 0 is not a hex digit$"):
             parse_hex("-1", 3)
 
     def test_int_literal_syntax_is_not_binary(self):
         # int() accepts "_", a sign and surrounding whitespace; the parser
         # must not, and must name the first offending index
         for text, index in (("1_01", 1), ("+101", 0), ("10 1", 2)):
-            with pytest.raises(InvalidDigit, match=f"at index {index} "):
+            with pytest.raises(InvalidParams, match=f"at index {index} is not 0/1"):
                 parse_binary(text, 2)
 
     def test_hex_needs_period_four(self):
-        with pytest.raises(InvalidPeriod):
+        with pytest.raises(InvalidParams, match="^hex input needs a period of at least 4"):
             parse_hex("1", 1)
-        with pytest.raises(InvalidPeriod):
+        with pytest.raises(InvalidParams, match="^expected 4 binary characters, got 3$"):
             parse_binary("111", 2)
 
     def test_exponent_out_of_range(self):
         # checked before anything else, so 2^exponent is never computed
         for parse in (parse_binary, parse_hex):
             for exponent in (21, -1, 100_000):
-                with pytest.raises(InvalidPeriod, match=r"^exponent must be in \[0, 20\]"):
+                with pytest.raises(InvalidParams, match=r"^exponent must be in \[0, 20\]"):
                     parse("01", exponent)
 
 
@@ -121,7 +120,7 @@ class TestAddAndHalve:
         assert (a ^ a).value == 0
 
     def test_add_rejects_period_mismatch(self):
-        with pytest.raises(PeriodMismatch):
+        with pytest.raises(InvalidParams, match=r"^cannot add periods 2\^2 and 2\^3$"):
             PeriodicSequence(2, 0) ^ PeriodicSequence(3, 0)
 
 
@@ -192,13 +191,13 @@ class TestClosedForms:
         assert games_chan_lc(s) == 12
 
     def test_lc_pair_validation(self):
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidParams, match="^need 0 <= i < j < 16, got i=1, j=1$"):
             lc_pair(1, 1, 4)
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidParams, match="^need 0 <= i < j < 16, got i=2, j=1$"):
             lc_pair(2, 1, 4)
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidParams, match="^need 0 <= i < j < 16, got i=0, j=16$"):
             lc_pair(0, 16, 4)
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidParams, match="^need 0 <= i < j < 16, got i=-1, j=3$"):
             lc_pair(-1, 3, 4)
 
     def test_lc_pair_matches_games_chan(self):
@@ -214,22 +213,22 @@ class TestClosedForms:
         assert lc_quad(0, 2, 1, 5, 4) == 14
 
     def test_lc_quad_validation(self):
-        with pytest.raises(LemmaPreconditionViolated):
-            lc_quad(0, 2, 4, 6, 4)  # k - i even
-        with pytest.raises(LemmaPreconditionViolated):
-            lc_quad(0, 2, 2, 5, 4)  # duplicate position
-        with pytest.raises(LemmaPreconditionViolated):
+        with pytest.raises(InvalidParams, match="^k - i must be odd, got 4$"):
+            lc_quad(0, 2, 4, 6, 4)
+        with pytest.raises(InvalidParams, match="^positions must be distinct"):
+            lc_quad(0, 2, 2, 5, 4)
+        with pytest.raises(InvalidParams, match="^need i < j and i < k < l$"):
             lc_quad(0, 2, 5, 3, 4)  # k < l violated
-        with pytest.raises(LemmaPreconditionViolated):
+        with pytest.raises(InvalidParams, match="^need i < j and i < k < l$"):
             lc_quad(2, 0, 3, 5, 4)  # i < j violated
-        with pytest.raises(LemmaPreconditionViolated):
-            lc_quad(0, 16, 1, 5, 4)  # outside the period
+        with pytest.raises(InvalidParams, match=r"^positions must lie in \[0, 16\)$"):
+            lc_quad(0, 16, 1, 5, 4)
 
     def test_lc_quad_rejects_cancelling_odd_gaps(self):
         # {0,1,2,3} split as {0,3} and {1,2}: both gaps odd, sum 4; the
         # closed form would say 2 but the true complexity is 1.  The
         # equal-parity regrouping {0,2} + {1,3} is accepted and exact.
-        with pytest.raises(LemmaPreconditionViolated):
+        with pytest.raises(InvalidParams, match="regroup the pairs by position parity$"):
             lc_quad(0, 3, 1, 2, 2)
         assert lc_quad(0, 2, 1, 3, 2) == 1
         assert games_chan_lc(PeriodicSequence.from_support(2, (0, 1, 2, 3))) == 1
@@ -250,7 +249,10 @@ class TestClosedForms:
                     k, l = sorted(set(quad) - {i, j})
                     try:
                         got = lc_quad(i, j, k, l, n)
-                    except LemmaPreconditionViolated:
+                    except InvalidParams as exc:
+                        # sorted, distinct, in-range positions fail only
+                        # the two lemma preconditions
+                        assert re.match(LEMMA_PRECONDITIONS, str(exc)), exc
                         continue
                     assert got == expected, (n, i, j, k, l)
                     accepted += 1

@@ -15,7 +15,7 @@ from lcforge.counting import (
     n3_lcfull,
     rueppel_count,
 )
-from lcforge.errors import InvalidL, InvalidParams
+from lcforge.errors import InvalidParams
 
 ALL = SequenceClass.ALL
 FULL = SequenceClass.FULL_LC
@@ -76,11 +76,11 @@ class TestDecomposition:
                     assert d.c == (1 << (d.r - 1)) - (1 << (d.r - d.m)) + d.x
 
     def test_rejects_bad_L(self):
-        with pytest.raises(InvalidL):
+        with pytest.raises(InvalidParams, match=r"^L must be in \[0, 16\], got -1$"):
             decompose_L(4, -1)
-        with pytest.raises(InvalidL):
+        with pytest.raises(InvalidParams, match=r"^L must be in \[0, 16\], got 17$"):
             decompose_L(4, 17)
-        with pytest.raises(InvalidL):
+        with pytest.raises(InvalidParams, match="^period exponent must be non-negative"):
             decompose_L(-1, 0)
 
 
@@ -158,9 +158,9 @@ class TestSingleFamilies:
 
     def test_rejects_bad_L(self):
         for fn in PER_CLASS + COMPLETE:
-            with pytest.raises(InvalidL):
+            with pytest.raises(InvalidParams, match=r"^L must be in \[0, 16\], got 17$"):
                 fn(4, 17)
-            with pytest.raises(InvalidL):
+            with pytest.raises(InvalidParams, match=r"^L must be in \[0, 16\], got -1$"):
                 fn(4, -1)
 
 
@@ -177,13 +177,13 @@ class TestBracketTerms:
         assert counting._g_term(4, 2) == 416
 
     def test_domain(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^need 1 < m <= n, got m=1, n=4$"):
             counting._f_term(4, 1)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^need 1 < m <= n, got m=5, n=4$"):
             counting._f_term(4, 5)
-        with pytest.raises(InvalidParams):
-            counting._g_term(4, 3)  # needs m < n - 1
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^need 1 < m < n - 1, got m=3, n=4$"):
+            counting._g_term(4, 3)
+        with pytest.raises(InvalidParams, match="^need 1 < m < n - 1, got m=1, n=4$"):
             counting._g_term(4, 1)
 
     def test_f_specialisations(self):
@@ -263,7 +263,7 @@ class TestPublishedFixture:
         assert wrong == [4, 5, 6, 7, 10, 11]
 
     def test_domain(self):
-        with pytest.raises(InvalidL):
+        with pytest.raises(InvalidParams, match=r"covers L in \[0, 15\], got 16$"):
             kavuluru_table1(16)
-        with pytest.raises(InvalidL):
+        with pytest.raises(InvalidParams, match=r"covers L in \[0, 15\], got -1$"):
             kavuluru_table1(-1)

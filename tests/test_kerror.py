@@ -6,7 +6,7 @@ import pytest
 
 from lcforge import kerror
 from lcforge.core import PeriodicSequence, games_chan_lc, lc_by_minimal_polynomial
-from lcforge.errors import InvalidParams, UndefinedForZeroSequence
+from lcforge.errors import InvalidParams
 from lcforge.kerror import k_error_lc, k_error_profile, k_min_formula
 
 # complexity of every packed period, by the halving recurrence
@@ -138,9 +138,9 @@ class TestKErrorLc:
             assert len(r.witness) <= 3
 
     def test_k_out_of_range(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match=r"^k must be in \[0, 4\], got 5$"):
             k_error_lc(PeriodicSequence(2, 0), 5)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match=r"^k must be in \[0, 4\], got -1$"):
             k_error_lc(PeriodicSequence(2, 0), -1)
 
     def test_pair_at_period_1024_with_four_errors(self):
@@ -343,7 +343,7 @@ class TestProfile:
         s = PeriodicSequence.from_support(2, (0,))
         assert k_error_profile(s, 4)[-1] == (4, 0)
         for k_max in (-1, 5):
-            with pytest.raises(InvalidParams):
+            with pytest.raises(InvalidParams, match=rf"^k_max must be in \[0, 4\], got {k_max}$"):
                 k_error_profile(s, k_max)
 
     def test_matches_pointwise_calls(self):
@@ -428,7 +428,7 @@ class TestKMin:
         assert k_min_formula(PeriodicSequence.from_support(4, (0, 12))) == 2
 
     def test_zero_sequence_undefined(self):
-        with pytest.raises(UndefinedForZeroSequence):
+        with pytest.raises(InvalidParams, match="^complexity 0 cannot decrease$"):
             k_min_formula(PeriodicSequence(3, 0))
 
     def test_formula_matches_search_everywhere_n4(self):
