@@ -5,8 +5,9 @@ period N = 2^n have k-error linear complexity exactly L — either over
 all sequences or restricted to one weight-parity class; n <= 5.
 
 This module owns the classes and their sizes.  The tallies are numpy
-work in lcforge.cosets, which takes only a weight parity and which this
-module imports, and numpy with it, when the first census runs.
+work in lcforge.cosets, the package's one numpy module, which takes only
+a weight parity and which this module imports, and numpy with it, when
+the first census runs.
 
 verify_formulas joins a census with the closed forms from
 lcforge.counting, and refutation_report reruns the period-16 3-error

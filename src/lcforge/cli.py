@@ -8,7 +8,7 @@ and CSV render the payload (census.render; a census report renders
 itself).  Every census runs in the calling process; census, verify and
 refute accept --jobs and check it, so scripts may pass it, but it
 changes nothing.  Only kerr, profile and the census commands load
-numpy, when they run.
+numpy, through lcforge.cosets, when they run.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
 finds a formula/census mismatch, 2 on invalid input, 130 on Ctrl-C, 141
@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from functools import cache
 
 from . import census as census_mod
-from . import core
+from . import core, kerror
 from .census import (
     CensusQuery,
     Exhaustive,
@@ -198,7 +198,6 @@ def _cmd_lc(args) -> int:
 
 
 def _cmd_kerr(args) -> int:
-    from . import kerror  # numpy loads here, not when the CLI starts
     s = _load_sequence(args)
     result = kerror.k_error_lc(s, args.k)
     payload = {
@@ -213,7 +212,6 @@ def _cmd_kerr(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from . import kerror
     s = _load_sequence(args)
     profile = kerror.k_error_profile(s, args.kmax)
     payload = {

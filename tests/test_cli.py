@@ -630,7 +630,7 @@ class TestEntryPoint:
     @pytest.mark.parametrize(
         "script",
         [
-            # the package as read before anything imported lcforge.kerror
+            # the package as a fresh interpreter reads it
             "import sys\n"
             "import lcforge\n"
             "assert set(lcforge.__all__) <= set(dir(lcforge))\n"
@@ -640,8 +640,7 @@ class TestEntryPoint:
             "    assert str(exc) == \"module 'lcforge' has no attribute 'no_such_name'\"\n"
             "else:\n"
             "    raise AssertionError('no AttributeError')\n"
-            "assert 'lcforge.kerror' not in sys.modules and 'numpy' not in sys.modules\n"
-            "assert lcforge.kerror is sys.modules['lcforge.kerror']\n"
+            "assert 'numpy' not in sys.modules\n"
             "for name in lcforge.__all__:\n"
             "    assert getattr(lcforge, name) is not None, name\n",
             "import lcforge\n"
@@ -659,29 +658,48 @@ class TestEntryPoint:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 
-    def test_numpy_loads_only_for_kerr_and_censuses(self):
+    @pytest.mark.parametrize(
+        "script, stderr",
+        [
+            (
+                "import sys\n"
+                "from lcforge import cli\n"
+                "for fmt in ('table', 'json'):\n"
+                "    assert cli.main(['lc', '--n', '3', '--bits', '01101001',"
+                " '--format', fmt]) == 0\n"
+                "    assert cli.main(['count', '--n', '12', '--k', '3', '--L', '4000',"
+                " '--format', fmt]) == 0\n"
+                "print('numpy' in sys.modules, file=sys.stderr)\n"
+                "codes = [cli.main(['kerr', '--n', '3', '--bits', '01101001', '--k', '1']),"
+                " cli.main(['census', '--n', '3', '--k', '2'])]\n"
+                "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n",
+                "False\n[0, 0] True\n",
+            ),
+            (
+                # the k-error names import without numpy; the closed form
+                # runs without it, the first search loads it
+                "import sys\n"
+                "from lcforge import KErrorResult, k_error_lc, k_error_profile,"
+                " k_min_formula\n"
+                "from lcforge import parse_binary\n"
+                "s = parse_binary('01101001', 3)\n"
+                "print(k_min_formula(s), 'numpy' in sys.modules, file=sys.stderr)\n"
+                "print(k_error_lc(s, 4).value, 'numpy' in sys.modules,"
+                " file=sys.stderr)\n",
+                "4 False\n0 True\n",
+            ),
+        ],
+        ids=["cli", "library"],
+    )
+    def test_numpy_loads_only_for_kerr_and_censuses(self, script, stderr):
         # a fresh interpreter, so no other test has imported numpy
-        script = (
-            "import sys\n"
-            "from lcforge import cli\n"
-            "for fmt in ('table', 'json'):\n"
-            "    assert cli.main(['lc', '--n', '3', '--bits', '01101001',"
-            " '--format', fmt]) == 0\n"
-            "    assert cli.main(['count', '--n', '12', '--k', '3', '--L', '4000',"
-            " '--format', fmt]) == 0\n"
-            "print('numpy' in sys.modules, file=sys.stderr)\n"
-            "codes = [cli.main(['kerr', '--n', '3', '--bits', '01101001', '--k', '1']),"
-            " cli.main(['census', '--n', '3', '--k', '2'])]\n"
-            "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n"
-        )
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
             env=_child_env(),
         )
-        assert proc.returncode == 0
-        assert proc.stderr == "False\n[0, 0] True\n"
+        assert (proc.returncode, proc.stderr) == (0, stderr)
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lcforge import kerror
+from lcforge import cosets
 from lcforge.core import PeriodicSequence, games_chan_lc, lc_by_minimal_polynomial
 from lcforge.errors import InvalidParams
 from lcforge.kerror import k_error_lc, k_error_profile, k_min_formula
@@ -82,7 +82,7 @@ def k_min_by_search(s: PeriodicSequence) -> int:
     other parity leaves a period of odd weight, whose complexity 2^n is
     never below L(s).
     """
-    base, bits = lc_by_minimal_polynomial(s), kerror._bits(s)
+    base, bits = lc_by_minimal_polynomial(s), cosets._bits(s.value, s.period)
     for k in range(2 - s.weight() % 2, s.period + 1, 2):
         if stamp_martin(bits, k)[0] < base:
             return k
@@ -168,13 +168,13 @@ class TestKErrorLc:
 
     def test_one_fold_per_witness(self, monkeypatch):
         calls = []
-        real = kerror._fold
+        real = cosets._fold
 
         def counted(bits, budget):
             calls.append(budget)
             return real(bits, budget)
 
-        monkeypatch.setattr(kerror, "_fold", counted)
+        monkeypatch.setattr(cosets, "_fold", counted)
         rng = random.Random(8)
         for _ in range(4):
             s = PeriodicSequence(8, rng.getrandbits(256))
@@ -307,7 +307,7 @@ class TestFoldMatchesOracle:
         assert lc.shape == spent.shape == bits.shape[:-1]
         period = bits.shape[-1]
         for row, row_bits in enumerate(bits.reshape(-1, period)):
-            value, fewest, _, _ = kerror._fold(row_bits, budget)
+            value, fewest, _, _ = cosets._fold(row_bits, budget)
             assert (lc.flat[row], spent.flat[row]) == (value, fewest)
             assert 0 <= lc.flat[row] <= period and 0 <= spent.flat[row] <= budget
 
@@ -355,7 +355,7 @@ class TestProfile:
 
     def test_matches_per_k_kernel(self):
         def per_k(s):
-            bits = kerror._bits(s)
+            bits = cosets._bits(s.value, s.period)
             return [(k, int(stamp_martin(bits, k)[0])) for k in range(s.period + 1)]
 
         for n in range(4):
@@ -371,13 +371,13 @@ class TestProfile:
 
     def test_one_fold_per_distinct_value(self, monkeypatch):
         budgets = []
-        real = kerror._fold
+        real = cosets._fold
 
         def counted(bits, budget):
             budgets.append(budget)
             return real(bits, budget)
 
-        monkeypatch.setattr(kerror, "_fold", counted)
+        monkeypatch.setattr(cosets, "_fold", counted)
         # 15 at k = 0, 1 and 0 from k = 2: one fold per value, from k_max down
         s = PeriodicSequence.from_support(4, (0, 1))
         profile = k_error_profile(s, 16)
@@ -397,7 +397,7 @@ class TestProfile:
         def refused(bits, choices, value):
             raise AssertionError("k_error_profile read a witness back")
 
-        monkeypatch.setattr(kerror, "_read_back", refused)
+        monkeypatch.setattr(cosets, "_read_back", refused)
         assert [k_error_profile(s, s.period) for s in periods] == expected
 
 
