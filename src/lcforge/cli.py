@@ -187,11 +187,12 @@ def _emit(fmt: str, payload, table=None) -> None:
 
 def _cmd_lc(args) -> int:
     s = _load_sequence(args)
+    weight = s.weight()
     payload = {
         "n": args.n,
         "L": core.games_chan_lc(s),
-        "weight": s.weight(),
-        "class": "FullLC" if s.weight() & 1 else "LessLC",
+        "weight": weight,
+        "class": "FullLC" if weight & 1 else "LessLC",
     }
     _emit(args.format, payload)
     return 0

@@ -25,8 +25,9 @@ from .errors import InvalidParams
 # operations stop being interactive.
 MAX_EXPONENT = 20
 
-_NOT_BINARY = re.compile("[^01]")
-_NOT_HEX = re.compile("[^0-9a-fA-F]")
+# Each byte with its bit order reversed: hex text puts position 0 in the
+# most significant bit of its first byte, the packed value in bit 0.
+_REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 # Marks as bytes 0/1 to binary digits, which int() reads in time linear
 # in the period.
@@ -80,16 +81,29 @@ class PeriodicSequence:
         return PeriodicSequence(self.exponent, self.value ^ other.value)
 
 
+def _check_digits(text: str, digits: bytes, name: str) -> None:
+    """Raise InvalidParams unless every character of text is in digits.
+
+    isascii() is O(1) on a compact str and translate() deletes the digits
+    in one C pass, so valid text is checked at memory speed.  isascii()
+    must come first: int() also reads non-ASCII digits such as U+0661.
+    The regex runs only on rejected text, to name the first bad character.
+    """
+    if text.isascii() and not text.encode("ascii").translate(None, digits):
+        return
+    bad = re.search(f"[^{digits.decode()}]", text)
+    raise InvalidParams(f"character {bad[0]!r} at index {bad.start()} is not {name}")
+
+
 def parse_binary(text: str, exponent: int) -> PeriodicSequence:
     """Parse one period from a 0/1 string, position 0 first."""
     _check_exponent(exponent)
     period = 1 << exponent
     if len(text) != period:
         raise InvalidParams(f"expected {period} binary characters, got {len(text)}")
-    bad = _NOT_BINARY.search(text)
-    if bad:
-        raise InvalidParams(f"character {bad[0]!r} at index {bad.start()} is not 0/1")
-    # int() would also take "_", "+" and whitespace, hence the check first
+    # int() would also take "_", "+" and whitespace, hence the check first;
+    # with a power-of-two base it reads the digits in linear time
+    _check_digits(text, b"01", "0/1")
     return PeriodicSequence(exponent, int(text[::-1], 2))
 
 
@@ -101,14 +115,14 @@ def parse_hex(text: str, exponent: int) -> PeriodicSequence:
     period = 1 << exponent
     if len(text) != period // 4:
         raise InvalidParams(f"expected {period // 4} hex characters, got {len(text)}")
-    bad = _NOT_HEX.search(text)
-    if bad:
-        raise InvalidParams(
-            f"character {bad[0]!r} at index {bad.start()} is not a hex digit"
-        )
-    # MSB of the hex number is position 0, so reverse the bit order.
-    msb_first = format(int(text, 16), f"0{period}b")
-    return PeriodicSequence(exponent, int(msb_first[::-1], 2))
+    # fromhex() would skip whitespace, hence the check first
+    _check_digits(text, b"0123456789abcdefABCDEF", "a hex digit")
+    # fromhex() takes whole bytes: the lone digit of n = 2 gets a trailing
+    # 0, which lands past the period once the bits are reversed
+    msb_first = bytes.fromhex(text + "0" * (len(text) & 1))
+    return PeriodicSequence(
+        exponent, int.from_bytes(msb_first.translate(_REVERSED_BITS), "little")
+    )
 
 
 def games_chan_lc(s: PeriodicSequence) -> int:

@@ -88,12 +88,12 @@ class TestLc:
         code, out, _ = run_cli(capsys, "lc", "--n", "4", "--file", str(path))
         assert code == 0
         assert "L = 16" in out
+        assert "weight = 3" in out
         # bytes that are not UTF-8 are an input error, not a traceback
         path.write_bytes(b"\xff" * 16)
         code, _, err = run_cli(capsys, "lc", "--n", "4", "--file", str(path))
         assert code == 2
         assert err == "error: character '\ufffd' at index 0 is not 0/1\n"
-        assert "weight = 3" in out
 
     def test_even_weight_is_less_class(self, capsys):
         code, out, _ = run_cli(capsys, "lc", "--n", "2", "--bits", "1100")

@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -97,6 +97,52 @@ class TestParse:
         for text, index in (("1_01", 1), ("+101", 0), ("10 1", 2)):
             with pytest.raises(InvalidParams, match=f"at index {index} is not 0/1"):
                 parse_binary(text, 2)
+
+    def test_parsers_match_support_route(self):
+        # one seeded period per n, read back through the positions of its ones
+        rng = random.Random(21)
+        for n in range(21):
+            bits = format(rng.getrandbits(1 << n), f"0{1 << n}b")
+            expected = PeriodicSequence.from_support(
+                n, [i for i, bit in enumerate(bits) if bit == "1"]
+            )
+            assert parse_binary(bits, n) == expected
+            if n < 2:
+                continue
+            # each hex digit spells four positions, most significant first
+            digits = "".join(f"{int(bits[i:i + 4], 2):x}" for i in range(0, 1 << n, 4))
+            assert parse_hex(digits, n) == expected
+            assert parse_hex(digits.upper(), n) == expected
+
+    def test_every_short_hex_string(self):
+        # n = 2 is a lone digit, padded to a whole byte before decoding
+        for n, length in ((2, 1), (3, 2)):
+            for chars in product("0123456789abcdefABCDEF", repeat=length):
+                text = "".join(chars)
+                bits = "".join(f"{int(c, 16):04b}" for c in text)
+                assert parse_hex(text, n) == parse_binary(bits, n)
+
+    @pytest.mark.parametrize(
+        "parse, text, n, message",
+        [
+            # digits that int() reads but the format does not allow
+            (parse_binary, "01١0", 2, "character '١' at index 2 is not 0/1"),
+            (parse_binary, "１000", 2, "character '１' at index 0 is not 0/1"),
+            (parse_hex, "1١", 3, "character '١' at index 1 is not a hex digit"),
+            (parse_hex, "１0", 3, "character '１' at index 0 is not a hex digit"),
+            # fromhex() skips a space between bytes and would return 3 bytes
+            (parse_hex, "12 34 56", 5, "character ' ' at index 2 is not a hex digit"),
+            (parse_binary, "01\x000", 2, "character '\\x00' at index 2 is not 0/1"),
+            (parse_hex, "a\x00", 3, "character '\\x00' at index 1 is not a hex digit"),
+            # int() takes a base prefix
+            (parse_hex, "0x12", 4, "character 'x' at index 1 is not a hex digit"),
+            (parse_binary, "0b10", 2, "character 'b' at index 1 is not 0/1"),
+        ],
+    )
+    def test_rejects_what_int_and_fromhex_accept(self, parse, text, n, message):
+        with pytest.raises(InvalidParams) as caught:
+            parse(text, n)
+        assert str(caught.value) == message
 
     def test_hex_needs_period_four(self):
         with pytest.raises(InvalidParams, match="^hex input needs a period of at least 4"):
