@@ -10,9 +10,8 @@ a weight parity and which this module imports, and numpy with it, when
 the first census runs.
 
 verify_formulas joins a census with the closed forms from
-lcforge.counting, and refutation_report reruns the period-16 3-error
-census against both the closed form and the previously published table
-it contradicts.
+lcforge.counting, and refutation_report sets that join for the period-16
+3-error census beside the previously published table it contradicts.
 
 Each report builds one payload dict, and render turns any payload into
 JSON or CSV: JSON is the whole payload, CSV its rows (or the payload as
@@ -336,24 +335,19 @@ class RefutationReport:
 def refutation_report() -> RefutationReport:
     """Census period 16 at k = 3 and compare against formula and publication.
 
-    The published table gets one row per L in [0, 15]; the exhaustive
-    census puts no sequence at L = 16 for k = 3 (one flip already breaks
-    full complexity), so those rows carry the whole distribution.
+    The rows are verify_formulas' rows for L in [0, 15], the published
+    table's; the census puts no sequence at L = 16 for k = 3 (one flip
+    already breaks full complexity), so they carry the whole distribution.
     """
-    report = census_distribution(CensusQuery(4, 3, SequenceClass.ALL, Exhaustive()))
-    totals = closed_form(3, SequenceClass.ALL)
+    report = verify_formulas(4, 3, SequenceClass.ALL)
     rows = []
-    for L in range(16):
-        census = report.rows[L].census
-        theorem = totals(4, L)
-        fixture = counting.kavuluru_table1(L)
-        if census != theorem:
+    for row in report.rows[:16]:
+        fixture = counting.kavuluru_table1(row.L)
+        if row.verdict == "Mismatch":
             verdict = "TheoremMismatch"
-        elif census == fixture:
-            verdict = "Match"
         else:
-            verdict = "FixtureWrong"
-        rows.append(RefutationRow(L, census, theorem, fixture, verdict))
+            verdict = "Match" if row.census == fixture else "FixtureWrong"
+        rows.append(RefutationRow(row.L, row.census, row.formula, fixture, verdict))
     return RefutationReport(rows, elapsed=report.elapsed)
 
 

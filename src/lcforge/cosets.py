@@ -12,12 +12,14 @@ of (1+x) in s(x), so the periods with L <= c are the 2^c multiples of
 (1+x)^(N-c), and L_k(s) <= c holds exactly when some error pattern of
 weight <= k is congruent to s modulo (1+x)^(N-c).  The census counts the
 residues that light patterns reach, for every c at once, in the calling
-process.
+process.  The map to (1+x)^j words is linear, so only the N unit
+patterns are transformed and every light word is built by XOR; its top
+bit is its pattern's weight parity, which splits the two classes.
 
 Sampled censuses draw values from a counter-based hash stream, so the
 same (seed, count) always yields the same draws.  They too run in the
 calling process, 8 192 draws at a time: each draw is looked up among the
-sorted (1+x)^j words of the patterns of weight <= k, and the nearer
+same sorted words, of every pattern of weight <= k, and the nearer
 neighbour gives L_k.
 
 The k-error fold is one O(N) pass over the halving tree, vectorised per
@@ -44,25 +46,12 @@ two-valued prices of the pass, so the same pass finds L_k.
 from __future__ import annotations
 
 from hashlib import blake2b
+from math import comb
 
 import numpy as np
 
 # draws scored at once: bounds a sampled census's temporaries for any count
 _BLOCK_ROWS = 1 << 13
-
-
-def _pattern_words(n: int, k: int, parity: int | None) -> np.ndarray:
-    """Every pattern of weight <= k (of that parity, if given), packed."""
-    bits = np.uint64(1) << np.arange(1 << n, dtype=np.uint64)
-    layer = np.zeros(1, dtype=np.uint64)  # the patterns of one weight, sorted
-    patterns = [layer] if parity != 1 else []
-    for weight in range(1, k + 1):
-        # the patterns below bit i are a prefix of the sorted layer
-        cuts = np.searchsorted(layer, bits).tolist()
-        layer = np.concatenate([layer[:cut] | bit for cut, bit in zip(cuts, bits)])
-        if parity is None or weight & 1 == parity:
-            patterns.append(layer)
-    return np.concatenate(patterns) if patterns else layer[:0]
 
 
 def _lucas(words: np.ndarray, n: int) -> np.ndarray:
@@ -77,9 +66,21 @@ def _lucas(words: np.ndarray, n: int) -> np.ndarray:
     return words
 
 
-def _light_words(n: int, k: int, parity: int | None) -> np.ndarray:
-    """The sorted (1+x)^j words of every pattern of weight <= k (and that parity)."""
-    return np.sort(_lucas(_pattern_words(n, k, parity), n))
+def _light_words(n: int, k: int) -> np.ndarray:
+    """The sorted (1+x)^j words of every pattern of weight <= k, XORs of unit words."""
+    period = 1 << n
+    unit = _lucas(np.uint64(1) << np.arange(period, dtype=np.uint64), n)
+    layer = np.zeros(1, dtype=np.uint64)
+    layers = [layer]
+    for w in range(k):
+        # a layer lists one weight by highest position, so its C(i, w)
+        # words below position i are a prefix
+        layer = np.concatenate([layer[: comb(i, w)] ^ unit[i] for i in range(period)])
+        layers.append(layer)
+    # sorted in place: a sorted copy would raise the peak by half
+    words = np.concatenate(layers)
+    words.sort()
+    return words
 
 
 def _bit_lengths(words: np.ndarray) -> np.ndarray:
@@ -100,13 +101,16 @@ def _coset_tally(n: int, k: int, parity: int | None) -> list[int]:
     number D(m) of distinct residues mod (1+x)^m is one more than the
     number of adjacent sorted words that differ in their top m bits, or
     0 when no pattern is light.  #{L_k <= c} is then 2^c * D(N-c) for
-    c < N.  Every multiple of (1+x) has even weight, so odd-weight
-    sequences are reached by odd-weight patterns only and even-weight
-    sequences by even-weight ones.  The row at L = N is the rest of the
-    class, which the caller knows.
+    c < N.  Every multiple of (1+x) has even weight, so a class is reached
+    by the patterns of its weight parity, a_0, only: the sorted words below
+    2^(N-1) for the even class and the rest for the odd.  The row at L = N
+    is the rest of the class, which the caller knows.
     """
     period = 1 << n
-    words = _light_words(n, k, parity)
+    words = _light_words(n, k)
+    if parity is not None:
+        odd = np.searchsorted(words, np.uint64(1 << (period - 1)))
+        words = words[odd:] if parity else words[:odd]
     # 0 for a repeated word
     lengths = _bit_lengths(words[1:] ^ words[:-1])
     longer = np.bincount(lengths, minlength=period + 1)[::-1].cumsum()[::-1]
@@ -144,7 +148,7 @@ def _sampled_tally(
 ) -> list[int]:
     """Per-L tally of the first `count` draws, scored by their nearest light words."""
     # all patterns of weight <= k, whatever the parity: 0 is always one
-    light = _light_words(n, k, None)
+    light = _light_words(n, k)
     tally = np.zeros((1 << n) + 1, dtype=np.int64)
     for start in range(0, count, _BLOCK_ROWS):
         end = min(count, start + _BLOCK_ROWS)

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,40 @@ class TestFormulaJoin:
         assert all(row.verdict == "Match" for row in report.rows)
         report.rows[2] = type(report.rows[2])(2, report.rows[2].census, 999, "Mismatch")
         assert not report.all_match
+
+
+def _word_by_definition(positions, period):
+    """A pattern's (1+x)^j word: a_j, the XOR of e_i over every i whose
+    bits contain j's, at bit N-1-j."""
+    word = 0
+    for j in range(period):
+        a_j = sum(1 for i in positions if i & j == j) & 1
+        word |= a_j << (period - 1 - j)
+    return word
+
+
+class TestLightWords:
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in range(5) for k in range(min(4, 1 << n) + 1)]
+        + [(5, k) for k in range(3)],
+    )
+    def test_words_and_parity_split_by_definition(self, n, k):
+        # the words of the patterns' reflections, i -> N-1-i, which are
+        # the same patterns over every weight <= k
+        period = 1 << n
+        by_parity = ([], [])
+        for w in range(k + 1):
+            for positions in combinations(range(period), w):
+                word = _word_by_definition(positions, period)
+                assert word >> (period - 1) == w & 1  # a_0 is the weight parity
+                by_parity[w & 1].append(word)
+        words = cosets._light_words(n, k)
+        assert words.tolist() == sorted(by_parity[0] + by_parity[1])
+        odd = np.searchsorted(words, np.uint64(1 << (period - 1)))
+        for parity, part in enumerate((words[:odd], words[odd:])):
+            assert len(part) == sum(comb(period, w) for w in range(parity, k + 1, 2))
+            assert part.tolist() == sorted(by_parity[parity])
 
 
 # exact k = 4 tables at n = 5 for the two classes the paper gives no closed
@@ -494,6 +529,7 @@ class TestRefutation:
         assert report.census_total == 65536
         assert report.theorem_total == 65536
         assert all(row.verdict != "TheoremMismatch" for row in report.rows)
+        assert [row.theorem for row in report.rows] == formula_counts(4, 3, ALL)[:16]
 
     def test_fixture_overcounts(self, report):
         assert report.fixture_total == 158208
@@ -514,3 +550,22 @@ class TestRefutation:
         payload = json.loads(text)
         assert payload["mismatched_L"] == [4, 5, 6, 7, 10, 11]
         assert "elapsed" not in text
+
+    def test_theorem_mismatch_is_reported(self, monkeypatch):
+        def skewed(n, k, seq_class):
+            counts = formula_counts(n, k, seq_class)
+            counts[8] += 1
+            return counts
+
+        monkeypatch.setattr("lcforge.census.formula_counts", skewed)
+        report = refutation_report()
+        assert [row.theorem for row in report.rows] == skewed(4, 3, ALL)[:16]
+        assert report.mismatched_L == (4, 5, 6, 7, 10, 11)
+        for row in report.rows:
+            if row.L == 8:
+                expected = "TheoremMismatch"
+            elif row.L in report.mismatched_L:
+                expected = "FixtureWrong"
+            else:
+                expected = "Match"
+            assert row.verdict == expected
