@@ -13,7 +13,6 @@ from .core import (
 from .counting import (
     LDecomposition,
     LKind,
-    LSubcase,
     decompose_L,
     kavuluru_table1,
     n1_lcfull,
@@ -50,7 +49,6 @@ __all__ = [
     "KErrorResult",
     "LDecomposition",
     "LKind",
-    "LSubcase",
     "PeriodicSequence",
     "RefutationReport",
     "RefutationRow",

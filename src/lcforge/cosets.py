@@ -13,8 +13,8 @@ of (1+x) in s(x), so the periods with L <= c are the 2^c multiples of
 weight <= k is congruent to s modulo (1+x)^(N-c).  The census counts the
 residues that light patterns reach, for every c at once, in the calling
 process.  The map to (1+x)^j words is linear, so only the N unit
-patterns are transformed and every light word is built by XOR; its top
-bit is its pattern's weight parity, which splits the two classes.
+patterns are transformed and every light word is built by XOR, one
+weight at a time; a class sorts only the weights of its parity.
 
 Sampled censuses draw values from a counter-based hash stream, so the
 same (seed, count) always yields the same draws.  They too run in the
@@ -66,8 +66,9 @@ def _lucas(words: np.ndarray, n: int) -> np.ndarray:
     return words
 
 
-def _light_words(n: int, k: int) -> np.ndarray:
-    """The sorted (1+x)^j words of every pattern of weight <= k, XORs of unit words."""
+def _light_words(n: int, k: int, parity: int | None) -> np.ndarray:
+    """The sorted (1+x)^j words of every pattern of weight <= k and of that
+    weight parity (any for None), XORs of unit words."""
     period = 1 << n
     unit = _lucas(np.uint64(1) << np.arange(period, dtype=np.uint64), n)
     layer = np.zeros(1, dtype=np.uint64)
@@ -77,8 +78,10 @@ def _light_words(n: int, k: int) -> np.ndarray:
         # words below position i are a prefix
         layer = np.concatenate([layer[: comb(i, w)] ^ unit[i] for i in range(period)])
         layers.append(layer)
+    if parity is not None:
+        layers = layers[parity::2]  # layers[w] holds weight w
     # sorted in place: a sorted copy would raise the peak by half
-    words = np.concatenate(layers)
+    words = np.concatenate(layers) if layers else np.zeros(0, dtype=np.uint64)
     words.sort()
     return words
 
@@ -102,15 +105,11 @@ def _coset_tally(n: int, k: int, parity: int | None) -> list[int]:
     number of adjacent sorted words that differ in their top m bits, or
     0 when no pattern is light.  #{L_k <= c} is then 2^c * D(N-c) for
     c < N.  Every multiple of (1+x) has even weight, so a class is reached
-    by the patterns of its weight parity, a_0, only: the sorted words below
-    2^(N-1) for the even class and the rest for the odd.  The row at L = N
-    is the rest of the class, which the caller knows.
+    by the patterns of its weight parity only.  The row at L = N is the
+    rest of the class, which the caller knows.
     """
     period = 1 << n
-    words = _light_words(n, k)
-    if parity is not None:
-        odd = np.searchsorted(words, np.uint64(1 << (period - 1)))
-        words = words[odd:] if parity else words[:odd]
+    words = _light_words(n, k, parity)
     # 0 for a repeated word
     lengths = _bit_lengths(words[1:] ^ words[:-1])
     longer = np.bincount(lengths, minlength=period + 1)[::-1].cumsum()[::-1]
@@ -148,7 +147,7 @@ def _sampled_tally(
 ) -> list[int]:
     """Per-L tally of the first `count` draws, scored by their nearest light words."""
     # all patterns of weight <= k, whatever the parity: 0 is always one
-    light = _light_words(n, k)
+    light = _light_words(n, k, None)
     tally = np.zeros((1 << n) + 1, dtype=np.int64)
     for start in range(0, count, _BLOCK_ROWS):
         end = min(count, start + _BLOCK_ROWS)

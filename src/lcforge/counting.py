@@ -8,11 +8,12 @@ all 2^(2^n) sequences or restricted to one weight-parity class:
 * the reduced-complexity class (even weight, complexity below 2^n).
 
 All results are exact integers.  The formulas branch on a canonical
-decomposition of L: apart from L = 0 and the values where 2^n - L is a
-power of two (which carry no mass for k >= 2), every L in (0, 2^n)
-writes uniquely as L = 2^n - 2^r + c with 2 <= r <= n and
-1 <= c <= 2^(r-1) - 1, and the shape of c inside that range decides the
-branch.  decompose_L exposes the decomposition.
+decomposition of L, which decompose_L returns with its branch, an LKind.
+L = 0 is ZERO, and the values where 2^n - L is 0 or a power of two are
+OTHERS (no mass for k >= 2).  Every other L writes uniquely as
+L = 2^n - 2^r + c with 2 <= r <= n and 1 <= c <= 2^(r-1) - 1, and c is
+SMALL, on a POWER_GAP or at GAP_PLUS, x above a power gap; LKind gives
+the bounds.
 
 Only the independent formulas live here; census.closed_form derives
 the counts of the other (k, class) pairs from them.
@@ -33,16 +34,10 @@ from .errors import InvalidParams
 
 
 class LKind(Enum):
-    """How a complexity value relates to the canonical decomposition."""
+    """Which branch of the decomposition a complexity value takes."""
 
     ZERO = "zero"  # L = 0
     OTHERS = "others"  # 2^n - L is 0 or a power of two
-    CASE = "case"  # L = 2^n - 2^r + c
-
-
-class LSubcase(Enum):
-    """Where c falls inside [1, 2^(r-1) - 1]."""
-
     SMALL = "small"  # c <= 2^(r-2) - 1
     POWER_GAP = "power_gap"  # c = 2^(r-1) - 2^(r-m)
     GAP_PLUS = "gap_plus"  # c = 2^(r-1) - 2^(r-m) + x, 0 < x < 2^(r-m-1)
@@ -52,12 +47,9 @@ class LSubcase(Enum):
 class LDecomposition:
     """Canonical decomposition of a complexity value L at period 2^n."""
 
-    n: int
-    L: int
     kind: LKind
     r: int | None = None
     c: int | None = None
-    subcase: LSubcase | None = None
     m: int | None = None
     x: int | None = None
 
@@ -73,23 +65,23 @@ def decompose_L(n: int, L: int) -> LDecomposition:
     """Split L as 2^n - 2^r + c and classify c; see the module docstring."""
     _check_L(n, L)
     if L == 0:
-        return LDecomposition(n, L, LKind.ZERO)
+        return LDecomposition(LKind.ZERO)
     gap = (1 << n) - L
     if gap & (gap - 1) == 0:  # covers gap == 0 and gap a power of two
-        return LDecomposition(n, L, LKind.OTHERS)
+        return LDecomposition(LKind.OTHERS)
     r = gap.bit_length()
     c = (1 << r) - gap
     if c <= (1 << (r - 2)) - 1:
-        return LDecomposition(n, L, LKind.CASE, r, c, LSubcase.SMALL)
+        return LDecomposition(LKind.SMALL, r, c)
     # c = 2^(r-1) - e with 1 <= e <= 2^(r-2); e a power of two is the
     # boundary case, anything else sits x above such a boundary.
     e = (1 << (r - 1)) - c
     if e & (e - 1) == 0:
         m = r - (e.bit_length() - 1)
-        return LDecomposition(n, L, LKind.CASE, r, c, LSubcase.POWER_GAP, m)
+        return LDecomposition(LKind.POWER_GAP, r, c, m)
     m = r - e.bit_length()
     x = (1 << (r - m)) - e
-    return LDecomposition(n, L, LKind.CASE, r, c, LSubcase.GAP_PLUS, m, x)
+    return LDecomposition(LKind.GAP_PLUS, r, c, m, x)
 
 
 def rueppel_count(n: int, L: int) -> int:
@@ -115,13 +107,11 @@ def n2_lcless(n: int, L: int) -> int:
         return comb(1 << n, 2) + 1
     if d.kind is LKind.OTHERS:
         return 0
-    base = comb(1 << d.r, 2) + 1
-    if d.subcase is LSubcase.SMALL:
-        factor = base
-    elif d.subcase is LSubcase.POWER_GAP:
-        factor = base - 3 * (1 << (d.r + d.m - 3))
-    else:
-        factor = base + (1 << (d.r - d.m)) - (1 << (d.r + d.m - 2))
+    factor = comb(1 << d.r, 2) + 1
+    if d.kind is LKind.POWER_GAP:
+        factor -= 3 * (1 << (d.r + d.m - 3))
+    elif d.kind is LKind.GAP_PLUS:
+        factor += (1 << (d.r - d.m)) - (1 << (d.r + d.m - 2))
     return (1 << (L - 1)) * factor
 
 
@@ -163,12 +153,12 @@ def n3_lcfull(n: int, L: int) -> int:
         return comb(1 << n, 3) + (1 << n)
     if d.kind is LKind.OTHERS:
         return 0
-    if d.subcase is LSubcase.SMALL:
+    if d.kind is LKind.SMALL:
         return (1 << (L - 1)) * (comb(1 << d.r, 3) + (1 << d.r))
     if d.r <= 3:
         # the power-gap values with r <= 3 are unreachable from this class
         return 0
-    if d.subcase is LSubcase.POWER_GAP:
+    if d.kind is LKind.POWER_GAP:
         return (1 << (L - 1)) * _f_term(d.r, d.m)
     return (1 << (L - 1)) * _g_term(d.r, d.m)
 

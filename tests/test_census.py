@@ -255,12 +255,30 @@ class TestLightWords:
                 word = _word_by_definition(positions, period)
                 assert word >> (period - 1) == w & 1  # a_0 is the weight parity
                 by_parity[w & 1].append(word)
-        words = cosets._light_words(n, k)
+        words = cosets._light_words(n, k, None)
         assert words.tolist() == sorted(by_parity[0] + by_parity[1])
         odd = np.searchsorted(words, np.uint64(1 << (period - 1)))
         for parity, part in enumerate((words[:odd], words[odd:])):
             assert len(part) == sum(comb(period, w) for w in range(parity, k + 1, 2))
             assert part.tolist() == sorted(by_parity[parity])
+
+    @pytest.mark.parametrize("parity", (0, 1, None))
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(6) for k in range(min(4, 1 << n) + 1)]
+    )
+    def test_parity_words_equal_the_top_bit_split(self, n, k, parity):
+        # the reference splits the words of every parity at 2^(N-1): the
+        # top bit, a_0, is the pattern's weight parity
+        words = cosets._light_words(n, k, None)
+        if parity is not None:
+            odd = np.searchsorted(words, np.uint64(1 << ((1 << n) - 1)))
+            words = words[odd:] if parity else words[:odd]
+        got = cosets._light_words(n, k, parity)
+        assert got.dtype == np.uint64
+        assert got.tolist() == words.tolist()
+        if parity == 1 and k == 0:
+            # no odd pattern is light: every sequence sits at L = N
+            assert cosets._coset_tally(n, k, parity) == [0] * (1 << n)
 
 
 # exact k = 4 tables at n = 5 for the two classes the paper gives no closed

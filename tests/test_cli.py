@@ -601,7 +601,7 @@ class TestEntryPoint:
     def test_public_names_are_pinned(self):
         assert sorted(lcforge.__all__) == [
             "CensusQuery", "CensusReport", "CensusRow", "Exhaustive",
-            "KErrorResult", "LDecomposition", "LKind", "LSubcase",
+            "KErrorResult", "LDecomposition", "LKind",
             "MAX_EXPONENT", "PeriodicSequence", "RefutationReport",
             "RefutationRow", "Sampled", "SequenceClass", "census_distribution",
             "class_size", "decompose_L", "formula_counts",

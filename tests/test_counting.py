@@ -1,13 +1,13 @@
 from fractions import Fraction
+from hashlib import sha256
 from math import comb
 
 import pytest
 
 from lcforge import counting
-from lcforge.census import SequenceClass, closed_form
+from lcforge.census import SequenceClass, closed_form, formula_counts
 from lcforge.counting import (
     LKind,
-    LSubcase,
     decompose_L,
     kavuluru_table1,
     n1_lcfull,
@@ -40,40 +40,49 @@ class TestDecomposition:
 
     def test_small(self):
         d = decompose_L(4, 1)
-        assert (d.kind, d.r, d.c, d.subcase) == (LKind.CASE, 4, 1, LSubcase.SMALL)
+        assert (d.kind, d.r, d.c) == (LKind.SMALL, 4, 1)
         d = decompose_L(4, 9)
-        assert (d.r, d.c, d.subcase) == (3, 1, LSubcase.SMALL)
+        assert (d.kind, d.r, d.c) == (LKind.SMALL, 3, 1)
 
     def test_power_gap(self):
         d = decompose_L(4, 13)
-        assert (d.r, d.c, d.subcase, d.m) == (2, 1, LSubcase.POWER_GAP, 2)
+        assert (d.kind, d.r, d.c, d.m) == (LKind.POWER_GAP, 2, 1, 2)
         d = decompose_L(3, 3)
-        assert (d.r, d.c, d.subcase, d.m) == (3, 3, LSubcase.POWER_GAP, 3)
+        assert (d.kind, d.r, d.c, d.m) == (LKind.POWER_GAP, 3, 3, 3)
 
     def test_gap_plus(self):
         d = decompose_L(4, 5)
-        assert (d.r, d.c, d.subcase, d.m, d.x) == (4, 5, LSubcase.GAP_PLUS, 2, 1)
+        assert (d.kind, d.r, d.c, d.m, d.x) == (LKind.GAP_PLUS, 4, 5, 2, 1)
 
     def test_round_trip_and_ranges(self):
-        # every case decomposition reconstructs L and lands in the
-        # documented parameter windows; the three subcases partition
-        for n in range(2, 7):
-            for L in range(1, 1 << n):
+        # every decomposition sets exactly the fields of its kind, and
+        # those reconstruct L and land in the documented parameter windows
+        with_c = {LKind.SMALL, LKind.POWER_GAP, LKind.GAP_PLUS}
+        with_m = {LKind.POWER_GAP, LKind.GAP_PLUS}
+        seen = set()
+        for n in range(9):
+            for L in range((1 << n) + 1):
                 d = decompose_L(n, L)
-                if d.kind is not LKind.CASE:
+                seen.add(d.kind)
+                assert (d.r is not None) == (d.kind in with_c), (n, L)
+                assert (d.c is not None) == (d.kind in with_c), (n, L)
+                assert (d.m is not None) == (d.kind in with_m), (n, L)
+                assert (d.x is not None) == (d.kind is LKind.GAP_PLUS), (n, L)
+                if d.kind not in with_c:
                     continue
                 assert L == (1 << n) - (1 << d.r) + d.c
                 assert 2 <= d.r <= n
                 assert 1 <= d.c <= (1 << (d.r - 1)) - 1
-                if d.subcase is LSubcase.SMALL:
+                if d.kind is LKind.SMALL:
                     assert d.c <= (1 << (d.r - 2)) - 1
-                elif d.subcase is LSubcase.POWER_GAP:
+                elif d.kind is LKind.POWER_GAP:
                     assert 1 < d.m <= d.r
                     assert d.c == (1 << (d.r - 1)) - (1 << (d.r - d.m))
                 else:
                     assert 1 < d.m < d.r - 1
                     assert 0 < d.x < 1 << (d.r - d.m - 1)
                     assert d.c == (1 << (d.r - 1)) - (1 << (d.r - d.m)) + d.x
+        assert seen == set(LKind)
 
     def test_rejects_bad_L(self):
         with pytest.raises(InvalidParams, match=r"^L must be in \[0, 16\], got -1$"):
@@ -162,6 +171,21 @@ class TestSingleFamilies:
                 fn(4, 17)
             with pytest.raises(InvalidParams, match=r"^L must be in \[0, 16\], got -1$"):
                 fn(4, -1)
+
+
+class TestPinnedBeyondTheCensus:
+    def test_digest_of_every_served_pair_up_to_n12(self):
+        # censuses check the formulas only up to n = 5, so this digest of
+        # every served pair's counts for n <= 12 pins the branches at r > 5
+        pairs = ((0, ALL), (1, FULL), (2, LESS), (2, FULL), (2, ALL),
+                 (3, LESS), (3, FULL), (3, ALL), (4, FULL))
+        digest = sha256()
+        for n in range(13):
+            for k, seq_class in pairs:
+                digest.update(repr(formula_counts(n, k, seq_class)).encode())
+        assert digest.hexdigest() == (
+            "17877399e50558e95fd18a6784b50459dfe66a41bad3deddaaa7862a485935fa"
+        )
 
 
 class TestBracketTerms:
