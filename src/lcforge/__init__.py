@@ -24,7 +24,6 @@ from .census import (
     CensusQuery,
     CensusReport,
     CensusRow,
-    Exhaustive,
     RefutationReport,
     RefutationRow,
     Sampled,
@@ -45,7 +44,6 @@ __all__ = [
     "CensusQuery",
     "CensusReport",
     "CensusRow",
-    "Exhaustive",
     "KErrorResult",
     "LDecomposition",
     "LKind",

@@ -47,11 +47,6 @@ class SequenceClass(Enum):
 
 
 @dataclass(frozen=True)
-class Exhaustive:
-    """Count every sequence of the class exactly."""
-
-
-@dataclass(frozen=True)
 class Sampled:
     """Draw `count` sequences from a deterministic stream keyed by `seed`."""
 
@@ -61,12 +56,16 @@ class Sampled:
 
 @dataclass(frozen=True)
 class CensusQuery:
-    """What to census: period exponent, error bound, class, and mode."""
+    """What to census: period exponent, error bound, class, and draws.
+
+    With no mode every sequence of the class is counted; a Sampled mode
+    draws its count of sequences instead.
+    """
 
     n: int
     k: int
     seq_class: SequenceClass
-    mode: Exhaustive | Sampled
+    mode: Sampled | None = None
 
     def __post_init__(self):
         if not 0 <= self.n <= MAX_CENSUS_EXPONENT:
@@ -78,7 +77,7 @@ class CensusQuery:
             raise InvalidParams(
                 f"census supports k in [0, {most}] at n = {self.n}, got {self.k}"
             )
-        if isinstance(self.mode, Sampled):
+        if self.mode is not None:
             if self.mode.count < 1:
                 raise InvalidParams("sample count must be at least 1")
             if not 0 <= self.mode.seed < 1 << 64:
@@ -97,12 +96,12 @@ class CensusRow:
 
 @dataclass
 class CensusReport:
-    """A census distribution, optionally joined with formula counts."""
+    """The rows answering `query`, optionally joined with formula counts.
 
-    n: int
-    k: int
-    seq_class: SequenceClass
-    mode: Exhaustive | Sampled
+    payload() is the report as data, which to_json and to_csv render.
+    """
+
+    query: CensusQuery
     rows: list[CensusRow]
     elapsed: float = 0.0
 
@@ -122,7 +121,7 @@ class CensusReport:
 
     @property
     def sample_size(self) -> int | None:
-        return self.mode.count if isinstance(self.mode, Sampled) else None
+        return getattr(self.query.mode, "count", None)
 
     def payload(self) -> dict:
         """The report as data; a sampled row also carries its interval."""
@@ -131,12 +130,11 @@ class CensusReport:
         if size is not None:
             for item in rows:
                 item["interval"] = list(proportion_interval(item["census"], size))
+        draws = {} if self.query.mode is None else vars(self.query.mode)
         return {
-            "n": self.n,
-            "k": self.k,
-            "class": self.seq_class.value,
+            **_query_fields(self.query),
             # "exhaustive", or "sampled" with its count and seed
-            "mode": {"kind": type(self.mode).__name__.lower(), **vars(self.mode)},
+            "mode": {"kind": "sampled" if draws else "exhaustive", **draws},
             "rows": rows,
             "totals": {"census": self.census_total, "formula": self.formula_total},
         }
@@ -146,6 +144,11 @@ class CensusReport:
 
     def to_json(self) -> str:
         return render("json", self.payload())
+
+
+def _query_fields(query: CensusQuery) -> dict:
+    """The n, k and class that head every report's payload."""
+    return {"n": query.n, "k": query.k, "class": query.seq_class.value}
 
 
 def _csv_cell(value) -> str:
@@ -180,16 +183,14 @@ def census_distribution(query: CensusQuery) -> CensusReport:
 
     start = perf_counter()
     n, k, parity = query.n, query.k, query.seq_class.parity
-    if isinstance(query.mode, Exhaustive):
+    if query.mode is None:
         counts = cosets._coset_tally(n, k, parity)
         counts.append(class_size(n, query.seq_class) - sum(counts))
     else:
         mode = query.mode
         counts = cosets._sampled_tally(n, k, parity, mode.seed, mode.count)
     rows = [CensusRow(L, count) for L, count in enumerate(counts)]
-    return CensusReport(
-        n, k, query.seq_class, query.mode, rows, elapsed=perf_counter() - start
-    )
+    return CensusReport(query, rows, elapsed=perf_counter() - start)
 
 
 def class_size(n: int, seq_class: SequenceClass) -> int:
@@ -256,7 +257,7 @@ def formula_counts(n: int, k: int, seq_class: SequenceClass) -> list[int]:
 def verify_formulas(n: int, k: int, seq_class: SequenceClass) -> CensusReport:
     """Exhaustively census (n, k, class) and join each row with its closed form."""
     closed_form(k, seq_class)  # a pair with no closed form is refused first
-    query = CensusQuery(n, k, seq_class, Exhaustive())
+    query = CensusQuery(n, k, seq_class)  # checks n before the formulas run
     expected = formula_counts(n, k, seq_class)
     report = census_distribution(query)
     rows = [
@@ -291,6 +292,7 @@ class RefutationRow:
 class RefutationReport:
     """Side-by-side period-16 3-error counts: census, closed form, publication."""
 
+    query: CensusQuery
     rows: list[RefutationRow]
     elapsed: float = 0.0
 
@@ -313,9 +315,7 @@ class RefutationReport:
     def payload(self) -> dict:
         """The report as data."""
         return {
-            "n": 4,
-            "k": 3,
-            "class": SequenceClass.ALL.value,
+            **_query_fields(self.query),
             "rows": [dict(vars(row)) for row in self.rows],
             "totals": {
                 "census": self.census_total,
@@ -348,7 +348,7 @@ def refutation_report() -> RefutationReport:
         else:
             verdict = "Match" if row.census == fixture else "FixtureWrong"
         rows.append(RefutationRow(row.L, row.census, row.formula, fixture, verdict))
-    return RefutationReport(rows, elapsed=report.elapsed)
+    return RefutationReport(report.query, rows, elapsed=report.elapsed)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from . import census as census_mod
 from . import core, kerror
 from .census import (
     CensusQuery,
-    Exhaustive,
     Sampled,
     SequenceClass,
     census_distribution,
@@ -269,7 +268,7 @@ def _cmd_count(args) -> int:
 
 
 def _census_lines(report) -> list[str]:
-    size, width = report.sample_size, len(str(1 << report.n)) + 1
+    size, width = report.sample_size, len(str(1 << report.query.n)) + 1
     interval = "" if size is None else "   3s-interval"
     lines = [f"{'L':>{width}} {'census':>12} {'formula':>12} verdict{interval}"]
     for row in report.rows:
@@ -285,7 +284,7 @@ def _census_lines(report) -> list[str]:
 
 
 def _cmd_census(args) -> int:
-    mode = Sampled(args.samples, args.seed) if args.mode == "sampled" else Exhaustive()
+    mode = Sampled(args.samples, args.seed) if args.mode == "sampled" else None
     query = CensusQuery(args.n, args.k, SequenceClass(args.seq_class), mode)
     _check_jobs(args)  # after the query, whose errors are reported first
     report = census_distribution(query)

@@ -16,7 +16,6 @@ from test_kerror import k_min_by_search
 from lcforge import cosets
 from lcforge.census import (
     CensusQuery,
-    Exhaustive,
     SequenceClass,
     census_distribution,
     class_size,
@@ -52,7 +51,7 @@ def criterion(number, description):
 
 def test_criterion_1_period_16_three_error_census():
     with criterion(1, "exhaustive 3-error census at period 16, under 60 s"):
-        report = census_distribution(CensusQuery(4, 3, ALL, Exhaustive()))
+        report = census_distribution(CensusQuery(4, 3, ALL))
         counts = tuple(row.census for row in report.rows)
         assert counts[:16] == (
             697, 697, 1394, 2788, 2824, 8400, 4384, 2624,
@@ -90,7 +89,7 @@ def test_criterion_4_odd_class_three_error_counts():
         expected = {9: 16384, 4: 2048, 5: 6656, 6: 2048, 7: 1024}
         for L, count in expected.items():
             assert report.rows[L].census == count, L
-        small = census_distribution(CensusQuery(3, 3, FULL, Exhaustive()))
+        small = census_distribution(CensusQuery(3, 3, FULL))
         assert small.rows[2].census == 0
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -11,8 +12,8 @@ from test_kerror import stamp_martin
 
 from lcforge import cosets
 from lcforge.census import (
+    MAX_ERRORS,
     CensusQuery,
-    Exhaustive,
     Sampled,
     SequenceClass,
     census_distribution,
@@ -61,7 +62,7 @@ FORMULA_COMBOS = (
 
 
 def exhaustive(n, k, seq_class):
-    return census_distribution(CensusQuery(n, k, seq_class, Exhaustive()))
+    return census_distribution(CensusQuery(n, k, seq_class))
 
 
 def cli_bytes(capsys, argv):
@@ -81,17 +82,17 @@ class TestQueryValidation:
     def test_exhaustive_capped_below_sampled(self):
         # one ceiling serves both modes
         with pytest.raises(InvalidParams, match="^census supports n <= 5, got 6$"):
-            CensusQuery(6, 0, ALL, Exhaustive())
-        CensusQuery(5, 0, ALL, Exhaustive())  # fine
+            CensusQuery(6, 0, ALL)
+        CensusQuery(5, 0, ALL)  # fine
         CensusQuery(5, 0, ALL, Sampled(10))  # fine
 
     def test_rejects_bad_k(self):
         with pytest.raises(InvalidParams, match=r"k in \[0, 4\] at n = 4, got 5$"):
-            CensusQuery(4, 5, ALL, Exhaustive())
+            CensusQuery(4, 5, ALL)
         with pytest.raises(InvalidParams, match=r"k in \[0, 4\] at n = 4, got -1$"):
-            CensusQuery(4, -1, ALL, Exhaustive())
+            CensusQuery(4, -1, ALL)
         with pytest.raises(InvalidParams, match=r"k in \[0, 1\] at n = 0, got 2$"):
-            CensusQuery(0, 2, ALL, Exhaustive())  # only one bit to flip
+            CensusQuery(0, 2, ALL)  # only one bit to flip
 
     def test_rejects_bad_sampling(self):
         with pytest.raises(InvalidParams, match="^sample count must be at least 1$"):
@@ -123,7 +124,9 @@ class TestExhaustiveCensus:
         assert report.census_total == class_size(3, FULL) == 128
 
     def test_known_period_sixteen_count(self):
-        report = exhaustive(4, 3, ALL)
+        query = CensusQuery(4, 3, ALL)
+        report = census_distribution(query)
+        assert report.query is query
         assert report.rows[5].census == 8400
         assert report.census_total == 65536
         assert report.rows[16].census == 0
@@ -224,6 +227,7 @@ class TestFormulaJoin:
 
     def test_mismatch_is_reported_not_hidden(self):
         report = verify_formulas(3, 2, LESS)
+        assert report.query == CensusQuery(3, 2, LESS)
         assert all(row.verdict == "Match" for row in report.rows)
         report.rows[2] = type(report.rows[2])(2, report.rows[2].census, 999, "Mismatch")
         assert not report.all_match
@@ -345,7 +349,9 @@ class TestPinnedN5:
 
 class TestSampledCensus:
     def test_total_equals_draw_count(self):
-        report = census_distribution(CensusQuery(4, 1, ALL, Sampled(500, seed=3)))
+        query = CensusQuery(4, 1, ALL, Sampled(500, seed=3))
+        report = census_distribution(query)
+        assert report.query is query
         assert report.census_total == 500
         assert report.sample_size == 500
 
@@ -536,6 +542,22 @@ class TestSerialisation:
         assert exhaustive_payload["mode"] == {"kind": "exhaustive"}
         assert all("interval" not in row for row in exhaustive_payload["rows"])
 
+    def test_every_report_is_byte_pinned(self):
+        # every census query's JSON and CSV, then the refutation's
+        digest = hashlib.sha256()
+        for n in range(6):
+            for k in range(min(MAX_ERRORS, 1 << n) + 1):
+                for seq_class in SequenceClass:
+                    for mode in (None, Sampled(300, 7), Sampled(9000, 0)):
+                        query = CensusQuery(n, k, seq_class, mode)
+                        report = census_distribution(query)
+                        digest.update((report.to_json() + report.to_csv()).encode())
+        report = refutation_report()
+        digest.update((report.to_json() + report.to_csv()).encode())
+        assert digest.hexdigest() == (
+            "aa487026a2ce06211de0a9eb6d95083d36b05db32316a9733d148515ae83f617"
+        )
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -560,6 +582,7 @@ class TestRefutation:
             assert row.verdict == expected
 
     def test_serialisation(self, report):
+        assert report.query == CensusQuery(4, 3, ALL)
         lines = report.to_csv().splitlines()
         assert lines[0] == "L,census,theorem,fixture,verdict"
         assert len(lines) == 17

@@ -11,7 +11,6 @@ import lcforge
 from lcforge import cli
 from lcforge.census import (
     CensusQuery,
-    Exhaustive,
     SequenceClass,
     census_distribution,
     closed_form,
@@ -531,7 +530,7 @@ def test_json_and_csv_build_no_table_lines(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_refutation_lines", table_lines)
     cases = [
         (["census", "--n", "3", "--k", "2"],
-         census_distribution(CensusQuery(3, 2, SequenceClass.ALL, Exhaustive()))),
+         census_distribution(CensusQuery(3, 2, SequenceClass.ALL))),
         (["verify", "--n", "3", "--k", "2", "--class", "less"],
          verify_formulas(3, 2, SequenceClass.LESS_LC)),
         (["refute"], refutation_report()),
@@ -600,7 +599,7 @@ class TestParser:
 class TestEntryPoint:
     def test_public_names_are_pinned(self):
         assert sorted(lcforge.__all__) == [
-            "CensusQuery", "CensusReport", "CensusRow", "Exhaustive",
+            "CensusQuery", "CensusReport", "CensusRow",
             "KErrorResult", "LDecomposition", "LKind",
             "MAX_EXPONENT", "PeriodicSequence", "RefutationReport",
             "RefutationRow", "Sampled", "SequenceClass", "census_distribution",
