@@ -7,8 +7,8 @@ with a function that builds its table lines: the table calls it, JSON
 and CSV render the payload (census.render; a census report renders
 itself).  Every census runs in the calling process; census, verify and
 refute accept --jobs and check it, so scripts may pass it, but it
-changes nothing.  Only kerr, profile and the census commands load
-numpy, through lcforge.cosets, when they run.
+changes nothing.  Only the census commands (census, verify, refute)
+load numpy, through lcforge.cosets, when they run.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
 finds a formula/census mismatch, 2 on invalid input, 130 on Ctrl-C, 141
@@ -252,8 +252,6 @@ def _cmd_count(args) -> int:
     formula = census_mod.closed_form(args.k, seq_class)
     if not 0 <= args.n <= core.MAX_EXPONENT:
         raise InvalidParams(f"--n must be in [0, {core.MAX_EXPONENT}], got {args.n}")
-    if not 0 <= args.L <= 1 << args.n:
-        raise InvalidParams(f"--L must be in [0, {1 << args.n}], got {args.L}")
     count = formula(args.n, args.L)
     payload = {
         "n": args.n,

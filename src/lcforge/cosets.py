@@ -1,8 +1,8 @@
-"""The numpy engines of lcforge: coset counts, sampled draws, the k-error fold.
+"""The numpy engines of lcforge's censuses: coset counts and sampled draws.
 
-This is the one module of the package that imports numpy.
-census_distribution, k_error_lc and k_error_profile import it, and numpy
-with it, when they run, so `import lcforge` loads no numpy.
+This is the one module of the package that imports numpy, and it serves
+the censuses only.  census_distribution imports it, and numpy with it,
+when it runs, so `import lcforge` loads no numpy.
 
 Every census routine takes the weight parity of the sequences it counts
 or draws, 1, 0 or None for any; lcforge.census maps its classes to these.
@@ -21,26 +21,6 @@ same (seed, count) always yields the same draws.  They too run in the
 calling process, 8 192 draws at a time: each draw is looked up among the
 same sorted words, of every pattern of weight <= k, and the nearer
 neighbour gives L_k.
-
-The k-error fold is one O(N) pass over the halving tree, vectorised per
-level: a fold down the tree (_fold), which finds L_k and the fewest
-flips that reach it, and a read-back up the tree (_read_back), which
-builds the witness.  Only k_error_lc reads back: k_error_profile needs
-just the fewest flips, which give it a whole run of equal values per fold.
-
-A pattern e takes s to complexity at most N - m exactly when
-(1 + x)^m divides s(x) + e(x), and that condition splits over the
-halvings: a halving of half length h needs equal halves, leaving m - h
-for them, while m >= h, and otherwise only asks m of the halves' XOR.
-So a pass down the tree prices, for every folded position and each
-value it can take, the fewest flips below it, and a pass back up reads
-off the witness.  The fewest flips c(m) for the condition never
-decrease as m grows, so the largest m with c(m) <= k, which is N - L_k,
-is found one binary digit at a time from the top: a level takes its
-digit, making its halves equal, when the cheapest way to do so, with
-every lower digit 0, fits k.  That is the budget test of the cost-vector
-algorithm of Stamp and Martin (IEEE Trans. IT 39(4), 1993), taken on the
-two-valued prices of the pass, so the same pass finds L_k.
 """
 
 from __future__ import annotations
@@ -159,81 +139,3 @@ def _sampled_tally(
         tally += np.bincount(lengths, minlength=len(tally))
     return tally.tolist()
 
-
-def _bits(value: int, period: int) -> np.ndarray:
-    """One period as a bool array, position 0 first."""
-    packed = value.to_bytes((period + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-    return bits[:period].view(bool)
-
-
-def _fold(bits: np.ndarray, k: int) -> tuple[int, int, list, np.ndarray]:
-    """L_k of the period `bits` within k flips, the fewest flips that reach
-    it, and what _read_back needs for the first lightest pattern, in
-    lexicographic position order, that does: the per-level choices and
-    the value of the folded bit.
-
-    Each halving folds position j with j + h into one node, so a node
-    covers positions j, j + h', j + 2h', ... for the half length h' of its
-    level, its halves' positions interleaved.  Per node and per value v
-    it can take, `cost[v]` is the fewest flips below it; `first` is the
-    position where the first lightest patterns for 0 and for 1 first
-    differ, and `flips` the value whose pattern flips there.  A level
-    makes its halves equal, node value for node value, when the cheapest
-    way to do so fits k, and otherwise adds h to L_k and folds them by
-    XOR.  Of two equally light patterns the one flipping at their first
-    difference comes first, so a tie goes to the half whose `first` is
-    smaller, and `choice` keeps, for each value of an XOR node, the value
-    of its first half.
-    """
-    # int32 holds every count and position of a period of 2^MAX_EXPONENT
-    cost = np.stack([bits, ~bits]).astype(np.int32)  # flips to make each 0, 1
-    first = np.arange(len(bits), dtype=np.int32)
-    flips = ~bits
-    lc = 0
-    choices = []  # per level, None where the halves are made equal
-    half = len(bits) >> 1
-    while half:
-        ca, cb = cost[:, :half], cost[:, half:]
-        fa, fb = first[:half], first[half:]
-        la, lb = flips[:half], flips[half:]
-        a_first = fa < fb
-        # row y: the first half takes 0 (keep) or 1 (swap), the second half
-        # that value XOR y, so row 0 makes the halves equal
-        keep, swap = ca[0] + cb, ca[1] + cb[::-1]
-        if np.minimum(keep[0], swap[0]).sum() <= k:
-            choice = None
-            cost = ca + cb
-            first = np.minimum(fa, fb)
-            flips = np.where(a_first, la, lb)
-        else:
-            lc += half
-            tie = np.where(a_first, la, np.stack([lb, ~lb]))
-            choice = (swap < keep) | ((swap == keep) & tie)
-            cost = np.minimum(keep, swap)
-            # the patterns for 0 and 1 differ in one half only
-            in_a = choice[0] != choice[1]
-            first = np.where(in_a, fa, fb)
-            flips = choice[0] ^ np.where(in_a, la, lb)
-        choices.append(choice)
-        half >>= 1
-    # the folded bit is 0 if k pays for it, and otherwise takes the
-    # lighter value, a tie going to the one that flips first
-    if cost[0, 0] <= k:
-        value = np.zeros(1, dtype=bool)
-    else:
-        lc += 1
-        value = (cost[1] < cost[0]) | ((cost[1] == cost[0]) & flips)
-    return lc, int(cost[int(value[0]), 0]), choices, value
-
-
-def _read_back(bits: np.ndarray, choices: list, value: np.ndarray) -> tuple[int, ...]:
-    """The pattern that _fold chose, unfolded level by level from the value
-    of the folded bit, as the increasing positions where it flips `bits`."""
-    for choice in reversed(choices):
-        if choice is None:
-            value = np.concatenate([value, value])
-        else:
-            a = np.where(value, choice[1], choice[0])
-            value = np.concatenate([a, a ^ value])
-    return tuple(np.flatnonzero(value != bits).tolist())

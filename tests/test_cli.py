@@ -317,11 +317,10 @@ class TestCount:
         assert err.startswith("error:")
 
     def test_L_out_of_range(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "count", "--n", "4", "--k", "3", "--class", "all", "--L", "17"
         )
-        assert code == 2
-        assert err.startswith("error:")
+        assert (code, out, err) == (2, "", "error: L must be in [0, 16], got 17\n")
 
     @pytest.mark.parametrize("n", ["-1", "21"])
     def test_n_out_of_range(self, capsys, n):
@@ -668,29 +667,33 @@ class TestEntryPoint:
                 " '--format', fmt]) == 0\n"
                 "    assert cli.main(['count', '--n', '12', '--k', '3', '--L', '4000',"
                 " '--format', fmt]) == 0\n"
+                "    assert cli.main(['kerr', '--n', '3', '--bits', '01101001',"
+                " '--k', '1', '--format', fmt]) == 0\n"
+                "    assert cli.main(['profile', '--n', '3', '--bits', '01101001',"
+                " '--kmax', '8', '--format', fmt]) == 0\n"
                 "print('numpy' in sys.modules, file=sys.stderr)\n"
-                "codes = [cli.main(['kerr', '--n', '3', '--bits', '01101001', '--k', '1']),"
-                " cli.main(['census', '--n', '3', '--k', '2'])]\n"
+                "codes = [cli.main(['census', '--n', '3', '--k', '2'])]\n"
                 "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n",
-                "False\n[0, 0] True\n",
+                "False\n[0] True\n",
             ),
             (
-                # the k-error names import without numpy; the closed form
-                # runs without it, the first search loads it
+                # the k-error functions run without numpy; a census loads it
                 "import sys\n"
                 "from lcforge import KErrorResult, k_error_lc, k_error_profile,"
                 " k_min_formula\n"
+                "from lcforge import CensusQuery, SequenceClass, census_distribution\n"
                 "from lcforge import parse_binary\n"
                 "s = parse_binary('01101001', 3)\n"
-                "print(k_min_formula(s), 'numpy' in sys.modules, file=sys.stderr)\n"
-                "print(k_error_lc(s, 4).value, 'numpy' in sys.modules,"
-                " file=sys.stderr)\n",
-                "4 False\n0 True\n",
+                "print(k_min_formula(s), k_error_lc(s, 4).value,"
+                " k_error_profile(s, 8)[-1], 'numpy' in sys.modules, file=sys.stderr)\n"
+                "census_distribution(CensusQuery(3, 2, SequenceClass.ALL))\n"
+                "print('numpy' in sys.modules, file=sys.stderr)\n",
+                "4 0 (8, 0) False\nTrue\n",
             ),
         ],
         ids=["cli", "library"],
     )
-    def test_numpy_loads_only_for_kerr_and_censuses(self, script, stderr):
+    def test_numpy_loads_only_for_censuses(self, script, stderr):
         # a fresh interpreter, so no other test has imported numpy
         proc = subprocess.run(
             [sys.executable, "-c", script],

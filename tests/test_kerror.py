@@ -1,10 +1,11 @@
+import hashlib
 import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from lcforge import cosets
+from lcforge import kerror
 from lcforge.core import PeriodicSequence, games_chan_lc, lc_by_minimal_polynomial
 from lcforge.errors import InvalidParams
 from lcforge.kerror import k_error_lc, k_error_profile, k_min_formula
@@ -26,6 +27,11 @@ def brute_k_error(s: PeriodicSequence, k: int):
             if lc < best[0]:
                 best = (lc, combo)
     return best
+
+
+def bool_bits(s: PeriodicSequence) -> np.ndarray:
+    """One period as a bool array, position 0 first, the oracle's input."""
+    return np.array([s.value >> i & 1 for i in range(s.period)], dtype=bool)
 
 
 def stamp_martin(bits: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +88,7 @@ def k_min_by_search(s: PeriodicSequence) -> int:
     other parity leaves a period of odd weight, whose complexity 2^n is
     never below L(s).
     """
-    base, bits = lc_by_minimal_polynomial(s), cosets._bits(s.value, s.period)
+    base, bits = lc_by_minimal_polynomial(s), bool_bits(s)
     for k in range(2 - s.weight() % 2, s.period + 1, 2):
         if stamp_martin(bits, k)[0] < base:
             return k
@@ -168,13 +174,13 @@ class TestKErrorLc:
 
     def test_one_fold_per_witness(self, monkeypatch):
         calls = []
-        real = cosets._fold
+        real = kerror._fold
 
-        def counted(bits, budget):
+        def counted(s, budget):
             calls.append(budget)
-            return real(bits, budget)
+            return real(s, budget)
 
-        monkeypatch.setattr(cosets, "_fold", counted)
+        monkeypatch.setattr(kerror, "_fold", counted)
         rng = random.Random(8)
         for _ in range(4):
             s = PeriodicSequence(8, rng.getrandbits(256))
@@ -182,6 +188,26 @@ class TestKErrorLc:
                 calls.clear()
                 r = k_error_lc(s, k)
                 assert calls == [k], (s.value, k, r)
+
+    def test_canonical_witnesses_are_byte_pinned(self):
+        # past brute force's reach: random, sparse and dense periods at
+        # n = 5..16, every witness and (for n <= 10) every full profile
+        rng = random.Random(26)
+        digest = hashlib.sha256()
+        for n in range(5, 17):
+            period = 1 << n
+            sparse = sum(1 << p for p in rng.sample(range(period), 5))
+            dense = sparse ^ ((1 << period) - 1)
+            for value in (rng.getrandbits(period), sparse, dense):
+                s = PeriodicSequence(n, value)
+                for k in (0, 1, 2, 3, 4, period // 4, period // 2, period):
+                    r = k_error_lc(s, k)
+                    digest.update(f"{n} {k} {r.value} {r.witness}\n".encode())
+                if n <= 10:
+                    digest.update(f"{k_error_profile(s, period)}\n".encode())
+        assert digest.hexdigest() == (
+            "e15638dca4b4992625c29a12adad8b8e8579d89944c1f8d340b28a968a1fe278"
+        )
 
     def test_monotone_in_k(self):
         table_checked = 0
@@ -307,7 +333,9 @@ class TestFoldMatchesOracle:
         assert lc.shape == spent.shape == bits.shape[:-1]
         period = bits.shape[-1]
         for row, row_bits in enumerate(bits.reshape(-1, period)):
-            value, fewest, _, _ = cosets._fold(row_bits, budget)
+            support = np.flatnonzero(row_bits).tolist()
+            s = PeriodicSequence.from_support(period.bit_length() - 1, support)
+            value, fewest, _, _ = kerror._fold(s, budget)
             assert (lc.flat[row], spent.flat[row]) == (value, fewest)
             assert 0 <= lc.flat[row] <= period and 0 <= spent.flat[row] <= budget
 
@@ -355,7 +383,7 @@ class TestProfile:
 
     def test_matches_per_k_kernel(self):
         def per_k(s):
-            bits = cosets._bits(s.value, s.period)
+            bits = bool_bits(s)
             return [(k, int(stamp_martin(bits, k)[0])) for k in range(s.period + 1)]
 
         for n in range(4):
@@ -371,13 +399,13 @@ class TestProfile:
 
     def test_one_fold_per_distinct_value(self, monkeypatch):
         budgets = []
-        real = cosets._fold
+        real = kerror._fold
 
-        def counted(bits, budget):
+        def counted(s, budget):
             budgets.append(budget)
-            return real(bits, budget)
+            return real(s, budget)
 
-        monkeypatch.setattr(cosets, "_fold", counted)
+        monkeypatch.setattr(kerror, "_fold", counted)
         # 15 at k = 0, 1 and 0 from k = 2: one fold per value, from k_max down
         s = PeriodicSequence.from_support(4, (0, 1))
         profile = k_error_profile(s, 16)
@@ -394,10 +422,10 @@ class TestProfile:
         periods = [PeriodicSequence(n, rng.getrandbits(1 << n)) for n in range(9)]
         expected = [k_error_profile(s, s.period) for s in periods]
 
-        def refused(bits, choices, value):
+        def refused(s, choices, value):
             raise AssertionError("k_error_profile read a witness back")
 
-        monkeypatch.setattr(cosets, "_read_back", refused)
+        monkeypatch.setattr(kerror, "_read_back", refused)
         assert [k_error_profile(s, s.period) for s in periods] == expected
 
 
