@@ -29,7 +29,6 @@ from .census import (
     Sampled,
     SequenceClass,
     census_distribution,
-    class_size,
     formula_counts,
     proportion_interval,
     refutation_report,
@@ -53,7 +52,6 @@ __all__ = [
     "Sampled",
     "SequenceClass",
     "census_distribution",
-    "class_size",
     "decompose_L",
     "formula_counts",
     "games_chan_lc",

@@ -4,9 +4,9 @@ A census tallies, for every complexity value L, how many sequences of
 period N = 2^n have k-error linear complexity exactly L — either over
 all sequences or restricted to one weight-parity class; n <= 5.
 
-This module owns the classes and their sizes.  The tallies are numpy
-work in lcforge.cosets, the package's one numpy module, which takes only
-a weight parity and which this module imports, and numpy with it, when
+This module owns the classes.  The tallies are numpy work in
+lcforge.cosets, the package's one numpy module, which takes only a
+weight parity and which this module imports, and numpy with it, when
 the first census runs.
 
 verify_formulas joins a census with the closed forms from
@@ -119,18 +119,14 @@ class CensusReport:
     def all_match(self) -> bool:
         return not any(row.verdict == "Mismatch" for row in self.rows)
 
-    @property
-    def sample_size(self) -> int | None:
-        return getattr(self.query.mode, "count", None)
-
     def payload(self) -> dict:
         """The report as data; a sampled row also carries its interval."""
+        mode = self.query.mode
         rows = [dict(vars(row)) for row in self.rows]
-        size = self.sample_size
-        if size is not None:
+        if mode is not None:
             for item in rows:
-                item["interval"] = list(proportion_interval(item["census"], size))
-        draws = {} if self.query.mode is None else vars(self.query.mode)
+                item["interval"] = list(proportion_interval(item["census"], mode.count))
+        draws = {} if mode is None else vars(mode)
         return {
             **_query_fields(self.query),
             # "exhaustive", or "sampled" with its count and seed
@@ -182,22 +178,13 @@ def census_distribution(query: CensusQuery) -> CensusReport:
     from . import cosets  # numpy loads here, on the first census only
 
     start = perf_counter()
-    n, k, parity = query.n, query.k, query.seq_class.parity
-    if query.mode is None:
+    n, k, parity, mode = query.n, query.k, query.seq_class.parity, query.mode
+    if mode is None:
         counts = cosets._coset_tally(n, k, parity)
-        counts.append(class_size(n, query.seq_class) - sum(counts))
     else:
-        mode = query.mode
         counts = cosets._sampled_tally(n, k, parity, mode.seed, mode.count)
     rows = [CensusRow(L, count) for L, count in enumerate(counts)]
     return CensusReport(query, rows, elapsed=perf_counter() - start)
-
-
-def class_size(n: int, seq_class: SequenceClass) -> int:
-    """Number of sequences of period 2^n in the class."""
-    if seq_class.parity is None:
-        return 1 << (1 << n)
-    return 1 << ((1 << n) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,11 @@
 
 Subcommands: lc, kerr, profile (single-sequence analysis), count (closed
 forms), census, verify, refute (distribution work).  Every subcommand
-builds one payload and hands it to _emit, the one reader of --format,
-with a function that builds its table lines: the table calls it, JSON
-and CSV render the payload (census.render; a census report renders
-itself).  Every census runs in the calling process; census, verify and
-refute accept --jobs and check it, so scripts may pass it, but it
-changes nothing.  Only the census commands (census, verify, refute)
+builds one payload and hands it to _emit, the one reader of --format:
+JSON and CSV render the payload (census.render; a census report renders
+its own), and every table is built from that same payload.  Every census
+runs in the calling process; census, verify and refute accept --jobs and
+check it, so scripts may pass it, but it changes nothing, and they alone
 load numpy, through lcforge.cosets, when they run.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
@@ -31,7 +30,6 @@ from .census import (
     Sampled,
     SequenceClass,
     census_distribution,
-    proportion_interval,
     refutation_report,
     verify_formulas,
 )
@@ -168,9 +166,9 @@ def _emit(fmt: str, payload, table=None) -> None:
     """Print a result in the --format asked for; nothing else reads it.
 
     `payload` is a dict for census.render, or a census report, which
-    renders itself through to_json and to_csv.  The table is the lines
-    that `table()` returns, called for the table format only, by
-    default one "key = value" line per payload item.
+    renders its payload() through to_json and to_csv.  The table is the
+    lines that `table()` builds from that same payload, called for the
+    table format only; by default one "key = value" line per item.
     """
     if fmt == "table":
         lines = table() if table else (f"{k} = {v}" for k, v in payload.items())
@@ -250,8 +248,7 @@ def _whole_decimals():
 def _cmd_count(args) -> int:
     seq_class = SequenceClass(args.seq_class)
     formula = census_mod.closed_form(args.k, seq_class)
-    if not 0 <= args.n <= core.MAX_EXPONENT:
-        raise InvalidParams(f"--n must be in [0, {core.MAX_EXPONENT}], got {args.n}")
+    core._check_exponent(args.n)
     count = formula(args.n, args.L)
     payload = {
         "n": args.n,
@@ -265,20 +262,22 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _census_lines(report) -> list[str]:
-    size, width = report.sample_size, len(str(1 << report.query.n)) + 1
-    interval = "" if size is None else "   3s-interval"
+def _census_lines(payload: dict, elapsed: float) -> list[str]:
+    width = len(str(1 << payload["n"])) + 1
+    interval = "   3s-interval" if payload["mode"]["kind"] == "sampled" else ""
     lines = [f"{'L':>{width}} {'census':>12} {'formula':>12} verdict{interval}"]
-    for row in report.rows:
-        formula = "-" if row.formula is None else row.formula
-        line = f"{row.L:>{width}} {row.census:>12} {formula:>12} {row.verdict:<9}"
-        if size is not None:
-            line += " [{:.5f}, {:.5f}]".format(*proportion_interval(row.census, size))
+    for row in payload["rows"]:
+        formula = "-" if row["formula"] is None else row["formula"]
+        L, census, verdict = row["L"], row["census"], row["verdict"]
+        line = f"{L:>{width}} {census:>12} {formula:>12} {verdict:<9}"
+        if "interval" in row:
+            line += " [{:.5f}, {:.5f}]".format(*row["interval"])
         lines.append(line.rstrip())
-    total = f"total: census {report.census_total}"
-    if report.formula_total is not None:
-        total += f", formula {report.formula_total}"
-    return [*lines, total, f"elapsed: {report.elapsed:.3f}s"]
+    totals = payload["totals"]
+    total = f"total: census {totals['census']}"
+    if totals["formula"] is not None:
+        total += f", formula {totals['formula']}"
+    return [*lines, total, f"elapsed: {elapsed:.3f}s"]
 
 
 def _cmd_census(args) -> int:
@@ -286,36 +285,39 @@ def _cmd_census(args) -> int:
     query = CensusQuery(args.n, args.k, SequenceClass(args.seq_class), mode)
     _check_jobs(args)  # after the query, whose errors are reported first
     report = census_distribution(query)
-    _emit(args.format, report, lambda: _census_lines(report))
+    _emit(args.format, report, lambda: _census_lines(report.payload(), report.elapsed))
     return 0
 
 
 def _cmd_verify(args) -> int:
     _check_jobs(args)
     report = verify_formulas(args.n, args.k, SequenceClass(args.seq_class))
-    _emit(args.format, report, lambda: _census_lines(report))
+    _emit(args.format, report, lambda: _census_lines(report.payload(), report.elapsed))
     return 0 if report.all_match else 1
 
 
-def _refutation_lines(report) -> list[str]:
+def _refutation_lines(payload: dict, elapsed: float) -> list[str]:
+    totals = payload["totals"]
     return [
         f"{'L':>3} {'census':>8} {'theorem':>8} {'fixture':>8} verdict",
         *(
-            f"{row.L:>3} {row.census:>8} {row.theorem:>8}"
-            f" {row.fixture:>8} {row.verdict}"
-            for row in report.rows
+            f"{row['L']:>3} {row['census']:>8} {row['theorem']:>8}"
+            f" {row['fixture']:>8} {row['verdict']}"
+            for row in payload["rows"]
         ),
-        f"total: census {report.census_total}, theorem {report.theorem_total},"
-        f" fixture {report.fixture_total}",
-        f"fixture disagrees at L = {list(report.mismatched_L)}",
-        f"elapsed: {report.elapsed:.3f}s",
+        f"total: census {totals['census']}, theorem {totals['theorem']},"
+        f" fixture {totals['fixture']}",
+        f"fixture disagrees at L = {payload['mismatched_L']}",
+        f"elapsed: {elapsed:.3f}s",
     ]
 
 
 def _cmd_refute(args) -> int:
     _check_jobs(args)
     report = refutation_report()
-    _emit(args.format, report, lambda: _refutation_lines(report))
+    _emit(
+        args.format, report, lambda: _refutation_lines(report.payload(), report.elapsed)
+    )
     return 0
 
 

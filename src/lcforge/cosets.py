@@ -76,7 +76,7 @@ def _bit_lengths(words: np.ndarray) -> np.ndarray:
 
 
 def _coset_tally(n: int, k: int, parity: int | None) -> list[int]:
-    """Exact per-L census of the sequences of that parity, for L < N.
+    """Exact per-L census of the sequences of that parity, for L = 0..N.
 
     Write a pattern e as the sum of a_j (1+x)^j; by Lucas' theorem a_j is
     the XOR of e_i over every i whose bits contain j's bits, and e mod
@@ -84,9 +84,9 @@ def _coset_tally(n: int, k: int, parity: int | None) -> list[int]:
     number D(m) of distinct residues mod (1+x)^m is one more than the
     number of adjacent sorted words that differ in their top m bits, or
     0 when no pattern is light.  #{L_k <= c} is then 2^c * D(N-c) for
-    c < N.  Every multiple of (1+x) has even weight, so a class is reached
-    by the patterns of its weight parity only.  The row at L = N is the
-    rest of the class, which the caller knows.
+    c < N, and #{L_k <= N} is the whole class: 2^N, or 2^(N-1) for a
+    parity.  Every multiple of (1+x) has even weight, so a class is
+    reached by the patterns of its weight parity only.
     """
     period = 1 << n
     words = _light_words(n, k, parity)
@@ -95,6 +95,7 @@ def _coset_tally(n: int, k: int, parity: int | None) -> list[int]:
     longer = np.bincount(lengths, minlength=period + 1)[::-1].cumsum()[::-1]
     distinct = min(len(words), 1)
     at_most = [(1 << c) * (distinct + int(longer[c + 1])) for c in range(period)]
+    at_most.append((1 << period) >> (parity is not None))
     return [at_most[0]] + [b - a for a, b in zip(at_most, at_most[1:])]
 
 

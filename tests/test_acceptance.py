@@ -18,7 +18,6 @@ from lcforge.census import (
     CensusQuery,
     SequenceClass,
     census_distribution,
-    class_size,
     closed_form,
     refutation_report,
     verify_formulas,
@@ -37,6 +36,11 @@ from lcforge.kerror import k_error_profile, k_min_formula
 ALL = SequenceClass.ALL
 FULL = SequenceClass.FULL_LC
 LESS = SequenceClass.LESS_LC
+
+
+def class_size(n, seq_class):
+    """Number of sequences of period 2^n in the class."""
+    return (1 << (1 << n)) >> (seq_class.parity is not None)
 
 
 @contextmanager

@@ -12,12 +12,12 @@ from test_kerror import stamp_martin
 
 from lcforge import cosets
 from lcforge.census import (
+    MAX_CENSUS_EXPONENT,
     MAX_ERRORS,
     CensusQuery,
     Sampled,
     SequenceClass,
     census_distribution,
-    class_size,
     closed_form,
     formula_counts,
     proportion_interval,
@@ -59,6 +59,11 @@ FORMULA_COMBOS = (
     (3, ALL),
     (4, FULL),
 )
+
+
+def class_size(n, seq_class):
+    """Number of sequences of period 2^n in the class."""
+    return (1 << (1 << n)) >> (seq_class.parity is not None)
 
 
 def exhaustive(n, k, seq_class):
@@ -103,9 +108,6 @@ class TestQueryValidation:
             CensusQuery(4, 0, ALL, Sampled(10, seed=1 << 64))
 
     def test_class_size(self):
-        assert class_size(4, ALL) == 65536
-        assert class_size(4, FULL) == 32768
-        assert class_size(4, LESS) == 32768
         assert ALL.parity is None
         assert FULL.parity == 1
         assert LESS.parity == 0
@@ -282,7 +284,23 @@ class TestLightWords:
         assert got.tolist() == words.tolist()
         if parity == 1 and k == 0:
             # no odd pattern is light: every sequence sits at L = N
-            assert cosets._coset_tally(n, k, parity) == [0] * (1 << n)
+            period = 1 << n
+            expected = [0] * period + [1 << (period - 1)]
+            assert cosets._coset_tally(n, k, parity) == expected
+
+    def test_bit_lengths_are_exact_up_to_the_census_cap(self):
+        # _bit_lengths goes through float64; the census cap keeps every word
+        # below 2^53, where that is exact
+        for n in range(MAX_CENSUS_EXPONENT + 1):
+            period = 1 << n
+            top = 1 << (period - 1)
+            words = sorted(
+                word
+                for word in {0, 1, (1 << period) - 1, top - 1, top, top + 1}
+                if word < 1 << period
+            )
+            lengths = cosets._bit_lengths(np.array(words, dtype=np.uint64))
+            assert lengths.tolist() == [word.bit_length() for word in words], n
 
 
 # exact k = 4 tables at n = 5 for the two classes the paper gives no closed
@@ -353,7 +371,7 @@ class TestSampledCensus:
         report = census_distribution(query)
         assert report.query is query
         assert report.census_total == 500
-        assert report.sample_size == 500
+        assert report.query.mode.count == 500
 
     def test_same_seed_same_rows(self):
         a = census_distribution(CensusQuery(4, 2, ALL, Sampled(256, seed=11)))

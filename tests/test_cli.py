@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -10,6 +11,8 @@ import pytest
 import lcforge
 from lcforge import cli
 from lcforge.census import (
+    MAX_CENSUS_EXPONENT,
+    MAX_ERRORS,
     CensusQuery,
     SequenceClass,
     census_distribution,
@@ -65,6 +68,33 @@ def _mask_elapsed(text: str) -> str:
 def test_golden_bytes(capsys, case):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, _mask_elapsed(out)) == (case["code"], case["stdout"])
+
+
+def test_every_table_is_byte_pinned(capsys):
+    # every census, sampled census and verify table the CLI can print, then
+    # the refutation table; an unserved verify pair exits 2 with no stdout
+    digest = hashlib.sha256()
+    modes = (
+        [],
+        ["--mode", "sampled", "--samples", "300", "--seed", "7"],
+        ["--mode", "sampled", "--samples", "9000", "--seed", "0"],
+    )
+    for n in range(MAX_CENSUS_EXPONENT + 1):
+        for k in range(min(MAX_ERRORS, 1 << n) + 1):
+            for seq_class in SequenceClass:
+                query = [
+                    "--n", str(n), "--k", str(k), "--class", seq_class.value,
+                    "--format", "table",
+                ]
+                argvs = [["census", *query, *mode] for mode in modes]
+                for argv in [*argvs, ["verify", *query]]:
+                    code, out, _ = run_cli(capsys, *argv)
+                    digest.update(f"{code}\n{_mask_elapsed(out)}".encode())
+    code, out, _ = run_cli(capsys, "refute", "--format", "table")
+    digest.update(f"{code}\n{_mask_elapsed(out)}".encode())
+    assert digest.hexdigest() == (
+        "ef798714bbe1e09ecd9a3b2918408914c45d9377be032a78abdef8ad08f1d8de"
+    )
 
 
 class TestLc:
@@ -329,7 +359,7 @@ class TestCount:
         )
         assert code == 2
         assert out == ""
-        assert err == f"error: --n must be in [0, 20], got {n}\n"
+        assert err == f"error: exponent must be in [0, 20], got {n}\n"
 
     def test_largest_period_evaluates_one_value(self, capsys):
         code, out, _ = run_cli(
@@ -602,7 +632,7 @@ class TestEntryPoint:
             "KErrorResult", "LDecomposition", "LKind",
             "MAX_EXPONENT", "PeriodicSequence", "RefutationReport",
             "RefutationRow", "Sampled", "SequenceClass", "census_distribution",
-            "class_size", "decompose_L", "formula_counts",
+            "decompose_L", "formula_counts",
             "games_chan_lc", "k_error_lc", "k_error_profile",
             "k_min_formula", "kavuluru_table1",
             "lc_by_minimal_polynomial", "lc_pair", "lc_quad", "n1_lcfull",
