@@ -23,7 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from json.encoder import encode_basestring_ascii
+from math import isfinite, sqrt
 from time import perf_counter
 
 from . import counting
@@ -155,17 +156,64 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _json(value, pad: str) -> str:
+    """`value` as json.dumps(value, sort_keys=True, indent=2) writes it,
+    each line after the first indented by `pad`.
+
+    Exact str, int, float, bool and None, lists and str-keyed dicts are
+    written here; anything else, such as a tuple, an int subclass or a
+    non-finite float, goes through json.dumps, which writes it or raises.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = pad + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_json(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        try:
+            items = [
+                f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
+                for key in sorted(value)
+            ]
+        except TypeError:
+            pass  # a key that is not a str: json.dumps converts or refuses it
+        else:
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    # JSON escapes every newline inside a string, so each raw one starts a line
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def render(fmt: str, payload: dict) -> str:
     """The one renderer: a payload as "json" (all of it) or "csv".
 
     JSON is indented by 2 with sorted keys, so parsing and re-rendering
-    it is byte identical.  CSV is the payload's rows, or the payload
-    itself as one row; the columns are the first row's keys in order,
-    less the JSON-only interval.  A None cell is empty and a list joins
-    its items with spaces.
+    it is byte identical.  The output equals json.dumps(payload,
+    sort_keys=True, indent=2), but is written here in one recursive pass:
+    with an indent, json.dumps leaves its C encoder for the pure-Python
+    one, a chain of generators that is slower than this pass on every
+    payload a command builds.
+
+    CSV is the payload's rows, or the payload itself as one row; the
+    columns are the first row's keys in order, less the JSON-only
+    interval.  A None cell is empty and a list joins its items with
+    spaces.
     """
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _json(payload, "")
     rows = payload.get("rows", [payload])
     header = [key for key in rows[0] if key != "interval"]
     lines = [",".join(header)]

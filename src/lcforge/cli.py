@@ -1,7 +1,11 @@
 """Command-line interface.
 
 Subcommands: lc, kerr, profile (single-sequence analysis), count (closed
-forms), census, verify, refute (distribution work).  Every subcommand
+forms), census, verify, refute (distribution work).  main hands the
+words after the command name to that command's own parser; the whole
+parser, built once per process like the others, runs only for a first
+word that names no command or for words the command's parser leaves
+over, and prints the same usage and error as ever.  Every subcommand
 builds one payload and hands it to _emit, the one reader of --format:
 JSON and CSV render the payload (census.render; a census report renders
 its own), and every table is built from that same payload.  Every census
@@ -81,7 +85,8 @@ def _add_census_params(parser):
 
 
 @cache  # built on the first call, then reused by every call in the process
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The whole parser, and each command's own parser by its name."""
     parser = argparse.ArgumentParser(
         prog="lcforge",
         description="Linear complexity and k-error linear complexity of"
@@ -136,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_jobs(p)
     _add_format(p)
 
-    return parser
+    return parser, sub.choices
 
 
 def _load_sequence(args) -> core.PeriodicSequence:
@@ -332,10 +337,30 @@ _COMMANDS = {
 }
 
 
+def _parse(argv) -> tuple[str, argparse.Namespace]:
+    """The command argv names and its arguments, or exit with argparse's
+    usage and error.
+
+    A first word that names a command is parsed by that command's own
+    parser alone, which the whole parser would hand it to anyway.  The
+    whole parser runs only when the first word names no command, or when
+    the command's parser leaves words over, so that it prints its usage
+    and error for them.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return argv[0], args
+    args = parser.parse_args(argv)
+    return args.command, args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, args = _parse(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = _COMMANDS[command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:

@@ -46,6 +46,17 @@ def _lucas(words: np.ndarray, n: int) -> np.ndarray:
     return words
 
 
+def _prefix_index(sizes: np.ndarray) -> np.ndarray:
+    """0, 1, .., size - 1 for each of `sizes` in turn, as one index array.
+
+    Each run's start is subtracted in place, so the index needs one
+    temporary of its length, freed before the caller gathers with it.
+    """
+    index = np.arange(int(sizes.sum()))
+    index -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return index
+
+
 def _light_words(n: int, k: int, parity: int | None) -> np.ndarray:
     """The sorted (1+x)^j words of every pattern of weight <= k and of that
     weight parity (any for None), XORs of unit words."""
@@ -55,8 +66,11 @@ def _light_words(n: int, k: int, parity: int | None) -> np.ndarray:
     layers = [layer]
     for w in range(k):
         # a layer lists one weight by highest position, so its C(i, w)
-        # words below position i are a prefix
-        layer = np.concatenate([layer[: comb(i, w)] ^ unit[i] for i in range(period)])
+        # words below position i are a prefix; the next weight is that
+        # prefix XOR unit[i] for each position i >= w in turn
+        sizes = np.array([comb(i, w) for i in range(w, period)])
+        layer = layer[_prefix_index(sizes)]
+        layer ^= np.repeat(unit[w:], sizes)
         layers.append(layer)
     if parity is not None:
         layers = layers[parity::2]  # layers[w] holds weight w

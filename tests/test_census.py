@@ -248,8 +248,7 @@ def _word_by_definition(positions, period):
 class TestLightWords:
     @pytest.mark.parametrize(
         "n, k",
-        [(n, k) for n in range(5) for k in range(min(4, 1 << n) + 1)]
-        + [(5, k) for k in range(3)],
+        [(n, k) for n in range(6) for k in range(min(4, 1 << n) + 1)],
     )
     def test_words_and_parity_split_by_definition(self, n, k):
         # the words of the patterns' reflections, i -> N-1-i, which are

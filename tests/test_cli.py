@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
 import lcforge
+from lcforge import census as census_mod
 from lcforge import cli
 from lcforge.census import (
     MAX_CENSUS_EXPONENT,
@@ -570,6 +572,86 @@ def test_json_and_csv_build_no_table_lines(capsys, monkeypatch):
             assert (code, out) == (0, text.removesuffix("\n") + "\n"), (argv, fmt)
 
 
+class TestJsonWriter:
+    """census.render writes indent-2, sorted-key JSON itself;
+    json.dumps(value, sort_keys=True, indent=2) is the oracle."""
+
+    @staticmethod
+    def oracle(value) -> str:
+        return json.dumps(value, sort_keys=True, indent=2)
+
+    def test_every_payload_the_cli_emits(self, capsys, monkeypatch):
+        written = []
+
+        def checked(fmt, payload):
+            text = render(fmt, payload)
+            # compared inside the command, where a count's digit limit is lifted
+            assert text == self.oracle(payload)
+            written.append((payload, text))
+            return text
+
+        monkeypatch.setattr(census_mod, "render", checked)
+        sampled = ["--mode", "sampled", "--samples", "500", "--seed", "3"]
+        for argv in (
+            ["census", "--n", "4", "--k", "2"],
+            ["census", "--n", "5", "--k", "3", "--class", "less", *sampled],
+            ["verify", "--n", "4", "--k", "3"],
+            ["refute"],
+            ["lc", "--n", "3", "--bits", "01101001"],
+            ["kerr", "--n", "3", "--bits", "00000000", "--k", "1"],
+            ["kerr", "--n", "3", "--bits", "11010000", "--k", "2"],
+            ["profile", "--n", "3", "--bits", "01101001", "--kmax", "8"],
+            ["count", "--n", "14", "--k", "3", "--class", "all", "--L", "16000"],
+        ):
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert (code, out) == (0, written[-1][1] + "\n")
+        payloads = [payload for payload, _ in written]
+        census, sampled, verify, refute, lc, empty, kerr, profile, count = payloads
+        assert census["mode"] == {"kind": "exhaustive"}
+        assert all(len(row["interval"]) == 2 for row in sampled["rows"])
+        assert {row["verdict"] for row in verify["rows"]} == {"Match"}
+        assert refute["mismatched_L"] == [4, 5, 6, 7, 10, 11]
+        assert lc["class"] == "LessLC"
+        assert empty["witness"] == [] and kerr["witness"]
+        assert len(profile["rows"]) == 9
+        with cli._whole_decimals():
+            assert len(str(count["count"])) > 4300
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            None, True, False, 1e-05, 0.5, 0, -7, "", [], {},
+            "non-ASCII: L\u2096 \u2264 2\u207f, caf\u00e9, \U0001d53d\u2082",
+            {"a": [], "b": {}, "c": [None, True, False, 1e-05, [[], {}]], "\u00e9": ""},
+        ],
+        ids=repr,
+    )
+    def test_scalars_empties_and_non_ascii(self, value):
+        assert render("json", value) == self.oracle(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            (1, (2, "x")),
+            {"rows": [IntEnum("Side", "LEFT RIGHT").RIGHT, float("nan"), float("-inf")]},
+            {"nested": {2: "b", 1: ["a", (3,)]}, "flags": {True: 1, False: 2}},
+            {"text": type("Name", (str,), {})("x\ny"), "none": {None: 0}},
+        ],
+    )
+    def test_other_types_are_written_by_json_dumps(self, value):
+        assert render("json", {"wrapped": [value]}) == self.oracle({"wrapped": [value]})
+
+    @pytest.mark.parametrize(
+        "value", [{"x": object()}, {"x": [1, {2, 3}]}, {1: "a", "b": 2}, {(1,): 0}]
+    )
+    def test_errors_are_json_dumps_errors(self, value):
+        with pytest.raises(TypeError) as expected:
+            self.oracle(value)
+        with pytest.raises(TypeError) as got:
+            render("json", value)
+        assert str(got.value) == str(expected.value)
+
+
 class TestExitCodes:
     def test_interrupt_exits_130(self, capsys, monkeypatch):
         def interrupted(args):
@@ -604,6 +686,18 @@ def _outcome(capsys, argv):
 
 
 class TestParser:
+    # misuses that argparse itself answers, with the whole parser's usage
+    # and error or with a command's own
+    MISUSE = (
+        [],
+        ["-h"],
+        ["bogus"],
+        ["verify", "-h"],
+        ["verify", "--n", "4", "--k", "3", "--bogus"],
+        ["kerr", "--n", "4", "--bits", "0101", "--hex", "a"],
+        ["census", "--n", "4", "--k", "1", "--class", "x"],
+        ["count", "--n", "4"],
+    )
     ARGVS = (
         ["lc", "--n", "3", "--bits", "11010000"],
         ["kerr", "--n", "3", "--bits", "11010000", "--k", "2", "--format", "json"],
@@ -623,6 +717,33 @@ class TestParser:
         reused = [_outcome(capsys, argv) for argv in self.ARGVS]
         assert reused == fresh
         assert cli._build_parser.cache_info().misses == 1
+
+    def test_misuse_bytes_are_pinned(self, capsys, monkeypatch):
+        # exit code, stdout and stderr of each misuse, in argparse's wording
+        # as of Python 3.10 and 3.11; help and usage wrap at $COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        digest = hashlib.sha256()
+        for argv in self.MISUSE:
+            code, out, err = _outcome(capsys, argv)
+            digest.update(json.dumps([argv, code, out, err]).encode())
+        assert digest.hexdigest() == (
+            "b6a6d9384c85c58b5ea241ec2d77a6c319c0c4c93accf5404faf26ad9133d1e4"
+        )
+
+    def test_a_command_parses_as_under_the_whole_parser(self, capsys, monkeypatch):
+        # main lets a command's own parser read its words; the whole parser
+        # is the oracle, for misuse (same exit, same bytes) and for use
+        # (same arguments, less the command name it records)
+        monkeypatch.setenv("COLUMNS", "80")
+        parser, _ = cli._build_parser()
+        for argv in self.MISUSE:
+            got = _outcome(capsys, argv)
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args(argv)
+            assert got == (info.value.code, *capsys.readouterr()), argv
+        for argv in (argv for argv in self.ARGVS if "bogus" not in argv):
+            command, args = cli._parse(argv)
+            assert {"command": command, **vars(args)} == vars(parser.parse_args(argv))
 
 
 class TestEntryPoint:
