@@ -20,7 +20,6 @@ one row) with the row keys as columns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -160,9 +159,9 @@ def _json(value, pad: str) -> str:
     """`value` as json.dumps(value, sort_keys=True, indent=2) writes it,
     each line after the first indented by `pad`.
 
-    Exact str, int, float, bool and None, lists and str-keyed dicts are
-    written here; anything else, such as a tuple, an int subclass or a
-    non-finite float, goes through json.dumps, which writes it or raises.
+    Exact str, int, finite float, bool and None, lists and str-keyed
+    dicts are written; anything else raises TypeError, as json.dumps
+    does for an object it cannot encode.  No payload holds anything else.
     """
     kind = type(value)
     if kind is str:
@@ -184,28 +183,24 @@ def _json(value, pad: str) -> str:
     if kind is dict:
         if not value:
             return "{}"
-        try:
-            items = [
-                f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
-                for key in sorted(value)
-            ]
-        except TypeError:
-            pass  # a key that is not a str: json.dumps converts or refuses it
-        else:
-            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    # JSON escapes every newline inside a string, so each raw one starts a line
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
+            for key in sorted(value)
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def render(fmt: str, payload: dict) -> str:
     """The one renderer: a payload as "json" (all of it) or "csv".
 
     JSON is indented by 2 with sorted keys, so parsing and re-rendering
-    it is byte identical.  The output equals json.dumps(payload,
+    it is byte identical.  For exact str, int, finite float, bool and
+    None, lists and str-keyed dicts, the output equals json.dumps(payload,
     sort_keys=True, indent=2), but is written here in one recursive pass:
     with an indent, json.dumps leaves its C encoder for the pure-Python
     one, a chain of generators that is slower than this pass on every
-    payload a command builds.
+    payload a command builds.  Any other value raises TypeError.
 
     CSV is the payload's rows, or the payload itself as one row; the
     columns are the first row's keys in order, less the JSON-only

@@ -252,9 +252,7 @@ def _whole_decimals():
 
 def _cmd_count(args) -> int:
     seq_class = SequenceClass(args.seq_class)
-    formula = census_mod.closed_form(args.k, seq_class)
-    core._check_exponent(args.n)
-    count = formula(args.n, args.L)
+    count = census_mod.closed_form(args.k, seq_class)(args.n, args.L)
     payload = {
         "n": args.n,
         "L": args.L,

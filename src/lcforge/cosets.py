@@ -40,8 +40,10 @@ def _lucas(words: np.ndarray, n: int) -> np.ndarray:
     That is the coordinate a_j in the basis (1+x)^j of the reflected period
     i -> N-1-i, at bit N-1-j; reflection keeps weights, L and L_k.
     """
+    ones = (1 << (1 << n)) - 1
     for step in (1 << b for b in range(n)):
-        upper = sum(1 << j for j in range(1 << n) if j & step)
+        # the positions j with j & step: `step` ones above `step` zeros, repeated
+        upper = ones // ((1 << 2 * step) - 1) * (((1 << step) - 1) << step)
         words ^= (words << np.uint64(step)) & np.uint64(upper)
     return words
 

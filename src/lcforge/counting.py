@@ -7,8 +7,9 @@ all 2^(2^n) sequences or restricted to one weight-parity class:
 * the full-complexity class (odd weight per period, complexity 2^n),
 * the reduced-complexity class (even weight, complexity below 2^n).
 
-All results are exact integers.  The formulas branch on a canonical
-decomposition of L, which decompose_L returns with its branch, an LKind.
+All results are exact integers, for n in [0, 20] (core.MAX_EXPONENT)
+and L in [0, 2^n].  The formulas branch on a canonical decomposition
+of L, which decompose_L returns with its branch, an LKind.
 L = 0 is ZERO, and the values where 2^n - L is 0 or a power of two are
 OTHERS (no mass for k >= 2).  Every other L writes uniquely as
 L = 2^n - 2^r + c with 2 <= r <= n and 1 <= c <= 2^(r-1) - 1, and c is
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
+from .core import _check_exponent
 from .errors import InvalidParams
 
 
@@ -55,8 +57,7 @@ class LDecomposition:
 
 
 def _check_L(n: int, L: int) -> None:
-    if n < 0:
-        raise InvalidParams(f"period exponent must be non-negative, got {n}")
+    _check_exponent(n)
     if not 0 <= L <= (1 << n):
         raise InvalidParams(f"L must be in [0, {1 << n}], got {L}")
 

@@ -5,7 +5,13 @@ from math import comb
 import pytest
 
 from lcforge import counting
-from lcforge.census import SequenceClass, closed_form, formula_counts
+from lcforge.census import (
+    CensusQuery,
+    SequenceClass,
+    census_distribution,
+    closed_form,
+    formula_counts,
+)
 from lcforge.counting import (
     LKind,
     decompose_L,
@@ -27,6 +33,9 @@ PER_CLASS = tuple(
     for k, seq_class in ((1, FULL), (2, FULL), (2, LESS), (3, FULL), (3, LESS), (4, FULL))
 )
 COMPLETE = (rueppel_count, closed_form(2, ALL), closed_form(3, ALL))
+# every (k, class) pair with a closed form
+SERVED = ((0, ALL), (1, FULL), (2, LESS), (2, FULL), (2, ALL),
+          (3, LESS), (3, FULL), (3, ALL), (4, FULL))
 
 
 class TestDecomposition:
@@ -89,8 +98,18 @@ class TestDecomposition:
             decompose_L(4, -1)
         with pytest.raises(InvalidParams, match=r"^L must be in \[0, 16\], got 17$"):
             decompose_L(4, 17)
-        with pytest.raises(InvalidParams, match="^period exponent must be non-negative"):
+        with pytest.raises(InvalidParams, match=r"^exponent must be in \[0, 20\], got -1$"):
             decompose_L(-1, 0)
+
+    @pytest.mark.parametrize(
+        "fn", [decompose_L, rueppel_count, n1_lcfull, n2_lcless, n3_lcfull]
+    )
+    def test_refuses_exponents_past_the_largest_period(self, fn):
+        # the exponent rule of single sequences: 2^21 - 3 is a valid L at
+        # n = 21, and the closed form would build a 2^21-bit int for it
+        with pytest.raises(InvalidParams, match=r"^exponent must be in \[0, 20\], got 21$"):
+            fn(21, (1 << 21) - 3)
+        assert fn(20, (1 << 20) - 3) is not None
 
 
 class TestSingleFamilies:
@@ -177,15 +196,57 @@ class TestPinnedBeyondTheCensus:
     def test_digest_of_every_served_pair_up_to_n12(self):
         # censuses check the formulas only up to n = 5, so this digest of
         # every served pair's counts for n <= 12 pins the branches at r > 5
-        pairs = ((0, ALL), (1, FULL), (2, LESS), (2, FULL), (2, ALL),
-                 (3, LESS), (3, FULL), (3, ALL), (4, FULL))
         digest = sha256()
         for n in range(13):
-            for k, seq_class in pairs:
+            for k, seq_class in SERVED:
                 digest.update(repr(formula_counts(n, k, seq_class)).encode())
         assert digest.hexdigest() == (
             "17877399e50558e95fd18a6784b50459dfe66a41bad3deddaaa7862a485935fa"
         )
+
+
+class TestTopRowsAtEveryN:
+    """The n = 5 census fixes the top 31 rows of every distribution up to n = 20.
+
+    Let D(m) be the number of distinct residues mod (1+x)^m of the error
+    patterns of weight <= k (of the class's parity, on a parity class).
+    A sequence s of that class has L_k(s) <= N - m, for m >= 1, exactly
+    when s is congruent to such a pattern mod (1+x)^m, so
+    #{L_k <= c} = 2^c * D(N - c) for c < N, and the count at
+    L = N - m is 2^(L-1) * (2 D(m) - D(m+1)).
+
+    D(m) does not depend on n for m <= 32.  Over GF(2),
+    (1+x)^32 = 1 + x^32, so mod (1+x)^m a pattern of period N >= 32 is
+    congruent to its fold onto period 32, the XOR of its 32-bit blocks.
+    Folding keeps the weight parity and never raises the weight, so it
+    maps the light patterns of period N onto light patterns of period
+    32, and each of those is itself a light pattern of period N (one
+    block, the rest zero): both periods reach the same residues.  The
+    exact n = 5 census therefore gives D(1..32), and with them the rows
+    L = N - 31 .. N - 1 at every n, by a route that shares nothing with
+    the closed forms.
+    """
+
+    @staticmethod
+    def residues(k, seq_class):
+        """D(1..32) from the cumulative rows of the exact n = 5 census."""
+        rows = census_distribution(CensusQuery(5, k, seq_class)).rows
+        at_most, D = 0, {}
+        for c, row in enumerate(rows[:32]):
+            at_most += row.census
+            assert at_most % (1 << c) == 0
+            D[32 - c] = at_most >> c
+        return D
+
+    def test_top_rows_match_the_closed_forms_up_to_n20(self):
+        for k, seq_class in SERVED:
+            D = self.residues(k, seq_class)
+            count = closed_form(k, seq_class)
+            for n in range(5, 21):
+                for m in range(1, 32):
+                    L = (1 << n) - m
+                    expected = (2 * D[m] - D[m + 1]) << (L - 1)
+                    assert count(n, L) == expected, (k, seq_class, n, m)
 
 
 class TestBracketTerms:
