@@ -160,8 +160,9 @@ def _json(value, pad: str) -> str:
     each line after the first indented by `pad`.
 
     Exact str, int, finite float, bool and None, lists and str-keyed
-    dicts are written; anything else raises TypeError, as json.dumps
-    does for an object it cannot encode.  No payload holds anything else.
+    dicts are written, and a finite Decimal as its str; anything else
+    raises TypeError, as json.dumps does for an object it cannot
+    encode.  No payload holds anything else.
     """
     kind = type(value)
     if kind is str:
@@ -188,6 +189,9 @@ def _json(value, pad: str) -> str:
             for key in sorted(value)
         ]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    from decimal import Decimal  # imported by count alone, for its count
+    if kind is Decimal and value.is_finite():
+        return str(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -200,7 +204,9 @@ def render(fmt: str, payload: dict) -> str:
     sort_keys=True, indent=2), but is written here in one recursive pass:
     with an indent, json.dumps leaves its C encoder for the pure-Python
     one, a chain of generators that is slower than this pass on every
-    payload a command builds.  Any other value raises TypeError.
+    payload a command builds.  A finite Decimal (count's count) is
+    written as its str, a bare JSON number; any other value raises
+    TypeError.
 
     CSV is the payload's rows, or the payload itself as one row; the
     columns are the first row's keys in order, less the JSON-only

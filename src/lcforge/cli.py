@@ -8,10 +8,11 @@ word that names no command or for words the command's parser leaves
 over, and prints the same usage and error as ever.  Every subcommand
 builds one payload and hands it to _emit, the one reader of --format:
 JSON and CSV render the payload (census.render; a census report renders
-its own), and every table is built from that same payload.  Every census
-runs in the calling process; census, verify and refute accept --jobs and
-check it, so scripts may pass it, but it changes nothing, and they alone
-load numpy, through lcforge.cosets, when they run.
+its own), and every table is built from that same payload.  count's
+count is an exact decimal.Decimal, which count alone imports.  Every
+census runs in the calling process; census, verify and refute accept
+--jobs and check it, so scripts may pass it, but it changes nothing, and
+they alone load numpy, through lcforge.cosets, when they run.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
 finds a formula/census mismatch, 2 on invalid input, 130 on Ctrl-C, 141
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from functools import cache
 
 from . import census as census_mod
@@ -232,36 +232,25 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-@contextmanager
-def _whole_decimals():
-    """Lift Python's int-to-decimal digit limit (4300 by default) for a while.
-
-    Counts at n >= 14 have more digits than that; they are exact and are
-    printed whole.  Pythons without the limit have nothing to lift.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is None:
-        yield
-        return
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _cmd_count(args) -> int:
+    import decimal  # here, so that count alone pays for the import
+
     seq_class = SequenceClass(args.seq_class)
     count = census_mod.closed_form(args.k, seq_class)(args.n, args.L)
+    # a count is 2^e times a small odd number, whose digits libmpdec writes
+    # in near-linear time where str() of an int is quadratic; a count it
+    # could not hold exactly raises Inexact instead of printing rounded digits
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = True
+    e = (count & -count).bit_length() - 1 if count else 0
     payload = {
         "n": args.n,
         "L": args.L,
         "k": args.k,
         "class": seq_class.value,
-        "count": count,
+        "count": ctx.multiply(count >> e, ctx.power(2, e)),
     }
-    with _whole_decimals():
-        _emit(args.format, payload, lambda: [str(count)])
+    _emit(args.format, payload, lambda: [str(payload["count"])])
     return 0
 
 
