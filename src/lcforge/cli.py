@@ -2,17 +2,17 @@
 
 Subcommands: lc, kerr, profile (single-sequence analysis), count (closed
 forms), census, verify, refute (distribution work).  main hands the
-words after the command name to that command's own parser; the whole
-parser, built once per process like the others, runs only for a first
-word that names no command or for words the command's parser leaves
-over, and prints the same usage and error as ever.  Every subcommand
-builds one payload and hands it to _emit, the one reader of --format:
-JSON and CSV render the payload (census.render; a census report renders
-its own), and every table is built from that same payload.  count's
-count is an exact decimal.Decimal, which count alone imports.  Every
-census runs in the calling process; census, verify and refute accept
---jobs and check it, so scripts may pass it, but it changes nothing, and
-they alone load numpy, through lcforge.cosets, when they run.
+words after the command name to that command's own parser and calls
+args.run, the handler it sets; the whole parser, built once per process
+like the others, runs only for a first word that names no command or for
+words the command's parser leaves over, and prints its usage and error.
+Every subcommand builds one payload and hands it to _emit, the one
+reader of --format: JSON and CSV render the payload (census.render; a
+census report renders its own), and every table is built from that same
+payload.  count's count is an exact decimal.Decimal, which count alone
+imports.  Every census runs in the calling process; census, verify and
+refute accept --jobs and check it, so scripts may pass it, but it
+changes nothing; they alone load numpy (lcforge.cosets), when they run.
 
 Exit codes: 0 on success (for verify: every row matches), 1 when verify
 finds a formula/census mismatch, 2 on invalid input, 130 on Ctrl-C, 141
@@ -41,12 +41,6 @@ from .errors import InvalidParams, LcforgeError
 
 _FORMATS = ("table", "json", "csv")
 _CLASSES = tuple(c.value for c in SequenceClass)
-
-
-def _add_format(parser):
-    parser.add_argument(
-        "--format", choices=_FORMATS, default="table", help="output format"
-    )
 
 
 def _add_input(parser):
@@ -95,25 +89,26 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lc", help="linear complexity of one sequence")
+    p.set_defaults(run=_cmd_lc)
     _add_input(p)
-    _add_format(p)
 
     p = sub.add_parser("kerr", help="exact k-error linear complexity with witness")
+    p.set_defaults(run=_cmd_kerr)
     _add_input(p)
     p.add_argument("--k", type=int, required=True, metavar="K")
-    _add_format(p)
 
     p = sub.add_parser("profile", help="k-error complexity profile for k = 0..kmax")
+    p.set_defaults(run=_cmd_profile)
     _add_input(p)
     p.add_argument("--kmax", type=int, required=True, metavar="K")
-    _add_format(p)
 
     p = sub.add_parser("count", help="closed-form count of sequences at one L")
+    p.set_defaults(run=_cmd_count)
     _add_census_params(p)
     p.add_argument("--L", type=int, required=True, metavar="L")
-    _add_format(p)
 
     p = sub.add_parser("census", help="distribution of k-error complexity")
+    p.set_defaults(run=_cmd_census)
     _add_census_params(p)
     p.add_argument(
         "--mode", choices=("exhaustive", "sampled"), default="exhaustive"
@@ -127,20 +122,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="stream seed for --mode sampled (default 0)",
     )
     _add_jobs(p)
-    _add_format(p)
 
     p = sub.add_parser("verify", help="census vs closed form for every L")
+    p.set_defaults(run=_cmd_verify)
     _add_census_params(p)
     _add_jobs(p)
-    _add_format(p)
 
     p = sub.add_parser(
         "refute",
         help="period-16 3-error census vs closed form vs the published table",
     )
+    p.set_defaults(run=_cmd_refute)
     _add_jobs(p)
-    _add_format(p)
 
+    # last, so that it is the last option in every command's help
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format", choices=_FORMATS, default="table", help="output format"
+        )
     return parser, sub.choices
 
 
@@ -313,20 +312,9 @@ def _cmd_refute(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "lc": _cmd_lc,
-    "kerr": _cmd_kerr,
-    "profile": _cmd_profile,
-    "count": _cmd_count,
-    "census": _cmd_census,
-    "verify": _cmd_verify,
-    "refute": _cmd_refute,
-}
-
-
-def _parse(argv) -> tuple[str, argparse.Namespace]:
-    """The command argv names and its arguments, or exit with argparse's
-    usage and error.
+def _parse(argv) -> argparse.Namespace:
+    """The arguments of the command argv names, its handler as `run`
+    among them, or exit with argparse's usage and error.
 
     A first word that names a command is parsed by that command's own
     parser alone, which the whole parser would hand it to anyway.  The
@@ -339,15 +327,14 @@ def _parse(argv) -> tuple[str, argparse.Namespace]:
     if argv and argv[0] in commands:
         args, rest = commands[argv[0]].parse_known_args(argv[1:])
         if not rest:
-            return argv[0], args
-    args = parser.parse_args(argv)
-    return args.command, args
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    command, args = _parse(argv)
+    args = _parse(argv)
     try:
-        code = _COMMANDS[command](args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:

@@ -117,7 +117,8 @@ def n2_lcless(n: int, L: int) -> int:
 
 
 def _f_term(n: int, m: int) -> int:
-    """Bracket factor for the power-gap branch of n3_lcfull; needs 1 < m <= n."""
+    """Bracket factor for the power-gap branch of n3_lcfull; needs 1 < m <= n.
+    0 for n <= 3: the power-gap values with r <= 3 are unreachable from this class."""
     if not 1 < m <= n:
         raise InvalidParams(f"need 1 < m <= n, got m={m}, n={n}")
     # 2^(n-m-1) * C(2^(m-1), 3) halves the binomial when m = n; that
@@ -156,9 +157,6 @@ def n3_lcfull(n: int, L: int) -> int:
         return 0
     if d.kind is LKind.SMALL:
         return (1 << (L - 1)) * (comb(1 << d.r, 3) + (1 << d.r))
-    if d.r <= 3:
-        # the power-gap values with r <= 3 are unreachable from this class
-        return 0
     if d.kind is LKind.POWER_GAP:
         return (1 << (L - 1)) * _f_term(d.r, d.m)
     return (1 << (L - 1)) * _g_term(d.r, d.m)

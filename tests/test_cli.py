@@ -726,7 +726,8 @@ class TestExitCodes:
         def interrupted(args):
             raise KeyboardInterrupt
 
-        monkeypatch.setitem(cli._COMMANDS, "lc", interrupted)
+        # the first thing lc calls
+        monkeypatch.setattr(cli, "_load_sequence", interrupted)
         code, out, err = run_cli(capsys, "lc", "--n", "2", "--bits", "1000")
         assert (code, out, err) == (130, "", "error: interrupted\n")
 
@@ -799,10 +800,23 @@ class TestParser:
             "b6a6d9384c85c58b5ea241ec2d77a6c319c0c4c93accf5404faf26ad9133d1e4"
         )
 
+    def test_every_help_is_pinned(self, capsys, monkeypatch):
+        # exit code, stdout and stderr of -h for the whole parser and for
+        # each command, so that no option moves, vanishes or changes text
+        monkeypatch.setenv("COLUMNS", "80")
+        commands = ("lc", "kerr", "profile", "count", "census", "verify", "refute")
+        digest = hashlib.sha256()
+        for argv in [["-h"], *([command, "-h"] for command in commands)]:
+            code, out, err = _outcome(capsys, argv)
+            digest.update(json.dumps([argv, code, out, err]).encode())
+        assert digest.hexdigest() == (
+            "27823dac6cfa5b8bb23cc0df8e7b32e3e0491f4f8440bb41476c3c0301525e72"
+        )
+
     def test_a_command_parses_as_under_the_whole_parser(self, capsys, monkeypatch):
         # main lets a command's own parser read its words; the whole parser
         # is the oracle, for misuse (same exit, same bytes) and for use
-        # (same arguments, less the command name it records)
+        # (same arguments and handler, less the command name it records)
         monkeypatch.setenv("COLUMNS", "80")
         parser, _ = cli._build_parser()
         for argv in self.MISUSE:
@@ -811,8 +825,9 @@ class TestParser:
                 parser.parse_args(argv)
             assert got == (info.value.code, *capsys.readouterr()), argv
         for argv in (argv for argv in self.ARGVS if "bogus" not in argv):
-            command, args = cli._parse(argv)
-            assert {"command": command, **vars(args)} == vars(parser.parse_args(argv))
+            whole = vars(parser.parse_args(argv))
+            assert whole.pop("command") == argv[0]
+            assert vars(cli._parse(argv)) == whole
 
 
 class TestEntryPoint:
