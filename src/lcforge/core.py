@@ -16,6 +16,7 @@ code, so each one can vouch for the other in tests.
 from __future__ import annotations
 
 import re
+from binascii import a2b_hex
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,8 +30,23 @@ MAX_EXPONENT = 20
 # most significant bit of its first byte, the packed value in bit 0.
 _REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
-# Marks as bytes 0/1 to binary digits, which int() reads in time linear
-# in the period.
+# a2b_hex() reads a pair of digits a, b as the byte 16a + b.  For digits
+# below 2 (and then below 4) these tables turn that byte into the hex
+# digit of 2a + b (and 4a + b), so two passes fold 0/1 text into hex
+# text.  Any other byte becomes "x", which the next a2b_hex() refuses.
+_FOLD_2, _FOLD_4 = (
+    bytes(
+        b"0123456789abcdef"[base * (byte >> 4) + (byte & 15)]
+        if byte >> 4 < base and byte & 15 < base
+        else ord("x")
+        for byte in range(256)
+    )
+    for base in (2, 4)
+)
+
+# Marks as bytes 0/1 to binary digits for from_support(), which reads
+# them with int() rather than through the parsers' hex reader, so tests
+# can hold one route against the other.
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -81,18 +97,21 @@ class PeriodicSequence:
         return PeriodicSequence(self.exponent, self.value ^ other.value)
 
 
-def _check_digits(text: str, digits: bytes, name: str) -> None:
-    """Raise InvalidParams unless every character of text is in digits.
+def _bad_digit(text: str, digits: str, name: str) -> InvalidParams:
+    """The error naming the first character of text that is not in digits.
 
-    isascii() is O(1) on a compact str and translate() deletes the digits
-    in one C pass, so valid text is checked at memory speed.  isascii()
-    must come first: int() also reads non-ASCII digits such as U+0661.
-    The regex runs only on rejected text, to name the first bad character.
+    Built only for text that a2b_hex() refused, which always holds such a
+    character: a non-ASCII one (int() would read U+0661 as a digit), a
+    non-hex one (fromhex() would skip whitespace) or, for 0/1 text, a hex
+    digit other than 0 and 1.
     """
-    if text.isascii() and not text.encode("ascii").translate(None, digits):
-        return
-    bad = re.search(f"[^{digits.decode()}]", text)
-    raise InvalidParams(f"character {bad[0]!r} at index {bad.start()} is not {name}")
+    bad = re.search(f"[^{digits}]", text)
+    return InvalidParams(f"character {bad[0]!r} at index {bad.start()} is not {name}")
+
+
+def _hex_value(text: str | bytes) -> int:
+    """Packed value of hex text, most significant bit first; ValueError if not hex."""
+    return int.from_bytes(a2b_hex(text).translate(_REVERSED_BITS), "little")
 
 
 def parse_binary(text: str, exponent: int) -> PeriodicSequence:
@@ -101,10 +120,15 @@ def parse_binary(text: str, exponent: int) -> PeriodicSequence:
     period = 1 << exponent
     if len(text) != period:
         raise InvalidParams(f"expected {period} binary characters, got {len(text)}")
-    # int() would also take "_", "+" and whitespace, hence the check first;
-    # with a power-of-two base it reads the digits in linear time
-    _check_digits(text, b"01", "0/1")
-    return PeriodicSequence(exponent, int(text[::-1], 2))
+    # each C pass halves the text, 0/1 digits to base-4 digits to hex;
+    # periods below 8 are padded to two whole hex digits, and the pad
+    # lands past the period
+    try:
+        base4 = a2b_hex(text + "0" * (8 - period)).translate(_FOLD_2)
+        value = _hex_value(a2b_hex(base4).translate(_FOLD_4))
+    except ValueError:
+        raise _bad_digit(text, "01", "0/1") from None
+    return PeriodicSequence(exponent, value)
 
 
 def parse_hex(text: str, exponent: int) -> PeriodicSequence:
@@ -115,14 +139,13 @@ def parse_hex(text: str, exponent: int) -> PeriodicSequence:
     period = 1 << exponent
     if len(text) != period // 4:
         raise InvalidParams(f"expected {period // 4} hex characters, got {len(text)}")
-    # fromhex() would skip whitespace, hence the check first
-    _check_digits(text, b"0123456789abcdefABCDEF", "a hex digit")
-    # fromhex() takes whole bytes: the lone digit of n = 2 gets a trailing
+    # a2b_hex() takes whole bytes: the lone digit of n = 2 gets a trailing
     # 0, which lands past the period once the bits are reversed
-    msb_first = bytes.fromhex(text + "0" * (len(text) & 1))
-    return PeriodicSequence(
-        exponent, int.from_bytes(msb_first.translate(_REVERSED_BITS), "little")
-    )
+    try:
+        value = _hex_value(text + "0" * (len(text) & 1))
+    except ValueError:
+        raise _bad_digit(text, "0123456789abcdefABCDEF", "a hex digit") from None
+    return PeriodicSequence(exponent, value)
 
 
 def games_chan_lc(s: PeriodicSequence) -> int:

@@ -25,7 +25,9 @@ neighbour gives L_k.
 
 from __future__ import annotations
 
-from hashlib import blake2b
+# hashlib.blake2b is this same builtin, but importing hashlib also loads
+# OpenSSL's libcrypto, about 3.4 MiB of resident memory
+from _blake2 import blake2b
 from math import comb
 
 import numpy as np

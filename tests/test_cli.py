@@ -938,6 +938,24 @@ class TestEntryPoint:
         )
         assert (proc.returncode, proc.stderr) == (0, stderr)
 
+    def test_censuses_do_not_load_openssl(self):
+        # hashlib would map libcrypto through _hashlib for the same blake2b
+        script = (
+            "import sys\n"
+            "from lcforge import cli\n"
+            "codes = [cli.main(argv.split()) for argv in (\n"
+            "    'census --n 3 --k 2', 'census --n 4 --k 2 --samples 300 --seed 7',\n"
+            "    'verify --n 4 --k 2', 'refute')]\n"
+            "print(codes, '_hashlib' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "[0, 0, 0, 0] False\n")
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "lcforge", "lc", "--n", "2", "--bits", "1000"],

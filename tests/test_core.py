@@ -114,6 +114,41 @@ class TestParse:
             assert parse_hex(digits, n) == expected
             assert parse_hex(digits.upper(), n) == expected
 
+    def test_binary_equals_int_of_the_reversed_text(self):
+        rng = random.Random(22)
+        for n in range(21):
+            texts = ["0" * (1 << n), "1" * (1 << n)]
+            texts += [format(rng.getrandbits(1 << n), f"0{1 << n}b") for _ in range(3)]
+            if n <= 3:
+                texts += ["".join(bits) for bits in product("01", repeat=1 << n)]
+            for text in texts:
+                assert parse_binary(text, n).value == int(text[::-1], 2), (n, text)
+
+    @pytest.mark.parametrize(
+        "parse, digits, name, exponents",
+        [
+            (parse_binary, "01", "0/1", range(4)),
+            (parse_hex, "0123456789abcdefABCDEF", "a hex digit", range(2, 5)),
+        ],
+        ids=["binary", "hex"],
+    )
+    def test_every_bad_character_at_every_index(self, parse, digits, name, exponents):
+        # every ASCII character outside the format, and non-ASCII ones that
+        # int() reads as digits or a decoder leaves behind
+        bad = [chr(c) for c in range(128) if chr(c) not in digits]
+        bad += ["١", "１", "\x80", "�"]
+        rng = random.Random(23)
+        for n in exponents:
+            length = (1 << n) // (4 if parse is parse_hex else 1)
+            valid = "".join(rng.choice(digits) for _ in range(length))
+            for index in range(length):
+                for char in bad:
+                    text = valid[:index] + char + valid[index + 1:]
+                    with pytest.raises(InvalidParams) as caught:
+                        parse(text, n)
+                    message = f"character {char!r} at index {index} is not {name}"
+                    assert str(caught.value) == message
+
     def test_every_short_hex_string(self):
         # n = 2 is a lone digit, padded to a whole byte before decoding
         for n, length in ((2, 1), (3, 2)):
