@@ -20,6 +20,21 @@ one row) with the row keys as columns.
 
 from __future__ import annotations
 
+__all__ = [
+    "CensusQuery",
+    "CensusReport",
+    "CensusRow",
+    "RefutationReport",
+    "RefutationRow",
+    "Sampled",
+    "SequenceClass",
+    "census_distribution",
+    "formula_counts",
+    "proportion_interval",
+    "refutation_report",
+    "verify_formulas",
+]
+
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii

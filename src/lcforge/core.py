@@ -15,6 +15,17 @@ code, so each one can vouch for the other in tests.
 
 from __future__ import annotations
 
+__all__ = [
+    "MAX_EXPONENT",
+    "PeriodicSequence",
+    "games_chan_lc",
+    "lc_by_minimal_polynomial",
+    "lc_pair",
+    "lc_quad",
+    "parse_binary",
+    "parse_hex",
+]
+
 import re
 from binascii import a2b_hex
 from dataclasses import dataclass

@@ -27,6 +27,17 @@ census.refutation_report.
 
 from __future__ import annotations
 
+__all__ = [
+    "LDecomposition",
+    "LKind",
+    "decompose_L",
+    "kavuluru_table1",
+    "n1_lcfull",
+    "n2_lcless",
+    "n3_lcfull",
+    "rueppel_count",
+]
+
 from dataclasses import dataclass
 from enum import Enum
 from math import comb

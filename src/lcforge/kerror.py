@@ -32,6 +32,13 @@ two-valued prices of the pass, so the same pass finds L_k.
 
 from __future__ import annotations
 
+__all__ = [
+    "KErrorResult",
+    "k_error_lc",
+    "k_error_profile",
+    "k_min_formula",
+]
+
 import re
 from dataclasses import dataclass
 from itertools import zip_longest

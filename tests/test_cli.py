@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -144,6 +146,22 @@ def test_readme_example_runs(capsys, argv, shown):
         )
         lines = [line for line in out.splitlines(keepends=True) if not line.startswith("elapsed:")]
         assert re.fullmatch(pattern, "".join(lines)), out
+
+
+def test_readme_library_example_runs():
+    # the Python block runs line by line, and each expression line shows
+    # the repr of its value in a comment
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    namespace, values = {}, []
+    for line in filter(None, block.splitlines()):
+        code, _, comment = line.partition("#")
+        if isinstance(ast.parse(code).body[0], ast.Expr):
+            values.append(eval(code, namespace))
+            assert repr(values[-1]) == comment.split()[0], line
+        else:
+            exec(code, namespace)
+    assert values == [16, 13, (3,)]
 
 
 class TestLc:
@@ -847,6 +865,26 @@ class TestEntryPoint:
         ]
         for name in lcforge.__all__:
             assert getattr(lcforge, name) is not None, name
+
+    def test_each_public_name_is_declared_once(self):
+        # in the __all__ of the module that defines it; lcforge lists no
+        # name itself but republishes the four lists
+        modules = (lcforge.core, lcforge.counting, lcforge.census, lcforge.kerror)
+        for mod in modules:
+            for name in mod.__all__:
+                obj = getattr(mod, name)
+                if callable(obj):
+                    assert obj.__module__ == mod.__name__, name
+                else:
+                    assert re.search(rf"^{name} = ", inspect.getsource(mod), re.M), name
+                assert getattr(lcforge, name) is obj, name
+        declared = [name for mod in modules for name in mod.__all__]
+        assert len(set(declared)) == len(declared)
+        assert declared == lcforge.__all__
+        namespace = {}
+        exec("from lcforge import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(lcforge.__all__)
 
     def test_error_classes_are_pinned(self):
         # one class per failure that a caller tells apart; the message
